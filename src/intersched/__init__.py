@@ -26,7 +26,6 @@ from .core import (
     InvalidStateError,
     LaneId,
     SeededRng,
-    SimClock,
     Vehicle,
     VehicleState,
     mph_to_fps,

@@ -84,8 +84,9 @@ def load_config(path: Path | str | None) -> IntersectionConfig:
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
 
-    def lane_from(section_name: str, lane_id: LaneId, parity: int) -> LaneConfig:
-        defaults = LaneConfig(lane_id, phase_parity=parity)
+    def lane_from(lane_id: LaneId) -> LaneConfig:
+        section_name = f"lane.{lane_id.value}"
+        defaults = LaneConfig(lane_id)
         if not parser.has_section(section_name):
             return defaults
         section = parser[section_name]
@@ -97,39 +98,19 @@ def load_config(path: Path | str | None) -> IntersectionConfig:
             lane_id,
             min_speed=section.getfloat("min_speed", defaults.min_speed),
             max_speed=section.getfloat("max_speed", defaults.max_speed),
-            phase_parity=parity,
             num_spots=section.getint("num_spots", defaults.num_spots),
             spot_length_ft=section.getfloat("spot_length_ft", defaults.spot_length_ft),
         )
 
     run_seconds = 60
-    exit_speed = None
-    next_entry_band = None
     if parser.has_section("intersection"):
         section = parser["intersection"]
-        known = {"run_seconds", "exit_speed", "next_entry_min", "next_entry_max"}
-        unknown = set(section) - known
+        unknown = set(section) - {"run_seconds"}
         if unknown:
             raise ValueError(f"[intersection] has unknown keys: {sorted(unknown)}")
         run_seconds = section.getint("run_seconds", 60)
-        exit_speed = section.getfloat("exit_speed", None)
-        lo = section.getfloat("next_entry_min", None)
-        hi = section.getfloat("next_entry_max", None)
-        if (lo is None) != (hi is None):
-            raise ValueError("next_entry_min and next_entry_max must be given together")
-        if lo is not None:
-            next_entry_band = (lo, hi)
 
-    lanes = (
-        lane_from("lane.A1", LaneId.A1, 0),
-        lane_from("lane.A2", LaneId.A2, 0),
-        lane_from("lane.B1", LaneId.B1, 1),
-        lane_from("lane.B2", LaneId.B2, 1),
-    )
-    kwargs = dict(lanes=lanes, run_seconds=run_seconds, next_entry_band=next_entry_band)
-    if exit_speed is not None:
-        kwargs["exit_speed"] = exit_speed
-    return IntersectionConfig(**kwargs)
+    return IntersectionConfig(lanes=tuple(lane_from(lane_id) for lane_id in LaneId), run_seconds=run_seconds)
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:

@@ -1,5 +1,5 @@
-"""Shared domain primitives: unit conversions, seeded randomness, the
-simulation clock, and the vehicle record used by both intersection models.
+"""Shared domain primitives: unit conversions, seeded randomness, and the
+vehicle record used by both intersection models.
 
 Speeds are plain floats tagged by the SpeedMph/SpeedFps aliases; conversions
 are the only place the unit changes hands.
@@ -89,28 +89,6 @@ class SeededRng:
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
         return SeededRng((z ^ (z >> 31)) & 0xFFFFFFFFFFFFFFFF)
-
-
-@dataclass
-class SimClock:
-    """Whole-second simulation clock running from 0 to `horizon` inclusive."""
-
-    horizon: int
-    now: int = 0
-
-    def __post_init__(self) -> None:
-        _require(self.horizon >= 0, f"horizon must be >= 0, got {self.horizon}")
-        _require(0 <= self.now <= self.horizon, f"now={self.now} outside [0, {self.horizon}]")
-
-    def tick(self) -> int:
-        if self.now >= self.horizon:
-            raise InvalidStateError(f"clock already at horizon {self.horizon}")
-        self.now += 1
-        return self.now
-
-    @property
-    def exhausted(self) -> bool:
-        return self.now >= self.horizon
 
 
 class LaneId(Enum):

@@ -31,15 +31,12 @@ class PatternSpec:
     kind: PatternKind
     horizon_slots: int = 720
     take_first: int = 60
-    arrival_probability: float = 0.5
     slot_seconds: float = QUEUE_SLOT_S
 
     def __post_init__(self) -> None:
         _require(self.horizon_slots > 0, f"horizon_slots must be > 0, got {self.horizon_slots}")
         _require(0 < self.take_first <= self.horizon_slots,
                  f"take_first must be in 1..{self.horizon_slots}, got {self.take_first}")
-        _require(0.0 <= self.arrival_probability <= 1.0,
-                 f"arrival_probability must be in [0, 1], got {self.arrival_probability}")
         _require(self.slot_seconds > 0.0, f"slot_seconds must be > 0, got {self.slot_seconds}")
 
 
@@ -48,8 +45,9 @@ def generate_arrivals(spec: PatternSpec, rng: SeededRng, parity: int = 0, horizo
 
     Average: one arrival at every open second of the window, so demand
     exactly matches capacity. Worst: two arrivals per open second. Random:
-    each slot of `horizon_slots` independently holds an arrival with the
-    spec's probability; the result is a strictly increasing slot list.
+    each slot of `horizon_slots` holds an arrival when a fair coin, one
+    `rand_int(0, 1)` draw per slot, comes up 1; the result is a strictly
+    increasing slot list. The scheduler's random demand is this draw.
     """
     _require(parity in (0, 1), f"parity must be 0 or 1, got {parity}")
     _require(horizon_s > 0, f"horizon_s must be > 0, got {horizon_s}")
@@ -57,12 +55,7 @@ def generate_arrivals(spec: PatternSpec, rng: SeededRng, parity: int = 0, horizo
         return list(range(parity, horizon_s, 2))
     if spec.kind is PatternKind.WORST:
         return [s for s in range(parity, horizon_s, 2) for _ in range(2)]
-    arrivals = []
-    for slot in range(spec.horizon_slots):
-        # same draw the scheduler's demand generator uses: randInt in {0, 1}
-        if rng.rand_int(0, 1) == 1:
-            arrivals.append(slot)
-    return arrivals
+    return [slot for slot in range(spec.horizon_slots) if rng.rand_int(0, 1) == 1]
 
 
 @dataclass(frozen=True)

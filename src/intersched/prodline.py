@@ -20,7 +20,6 @@ from .core import (
     InvalidStateError,
     LaneId,
     SeededRng,
-    SimClock,
     SpeedMph,
     Vehicle,
     VehicleState,
@@ -47,48 +46,36 @@ class LaneConfig:
     id: LaneId
     min_speed: SpeedMph = SPEED_BAND_MPH[0]
     max_speed: SpeedMph = SPEED_BAND_MPH[1]
-    phase_parity: int = 0
     num_spots: int = NUM_SPOTS
     spot_length_ft: float = SPOT_LENGTH_FT
 
     def __post_init__(self) -> None:
         _require(0 < self.min_speed <= self.max_speed, f"bad speed band [{self.min_speed}, {self.max_speed}]")
-        _require(self.phase_parity in (0, 1), f"phase_parity must be 0 or 1, got {self.phase_parity}")
-        expected = 0 if self.id.group == "A" else 1
-        _require(self.phase_parity == expected, f"lane {self.id.value} must have parity {expected}")
         _require(self.num_spots > 0, f"num_spots must be > 0, got {self.num_spots}")
         _require(self.spot_length_ft > 0, f"spot_length_ft must be > 0, got {self.spot_length_ft}")
+
+    @property
+    def phase_parity(self) -> int:
+        """Second parity on which the lane's gate opens: 0 for A lanes, 1 for B."""
+        return 0 if self.id.group == "A" else 1
 
 
 @dataclass(frozen=True)
 class IntersectionConfig:
     lanes: tuple[LaneConfig, LaneConfig, LaneConfig, LaneConfig]
     run_seconds: int = RUN_SECONDS
-    exit_speed: SpeedMph = (SPEED_BAND_MPH[0] + SPEED_BAND_MPH[1]) / 2
-    next_entry_band: tuple[SpeedMph, SpeedMph] | None = None
 
     def __post_init__(self) -> None:
         _require(self.run_seconds > 0, f"run_seconds must be > 0, got {self.run_seconds}")
-        _require(self.exit_speed > 0, f"exit_speed must be > 0, got {self.exit_speed}")
         ids = [lane.id for lane in self.lanes]
         _require(
             sorted(l.value for l in ids) == ["A1", "A2", "B1", "B2"],
             f"config must cover lanes A1, A2, B1, B2 exactly once, got {[l.value for l in ids]}",
         )
-        if self.next_entry_band is not None:
-            lo, hi = self.next_entry_band
-            _require(0 < lo <= hi, f"bad next_entry_band {self.next_entry_band}")
 
     @classmethod
     def default(cls) -> "IntersectionConfig":
-        return cls(
-            lanes=(
-                LaneConfig(LaneId.A1, phase_parity=0),
-                LaneConfig(LaneId.A2, phase_parity=0),
-                LaneConfig(LaneId.B1, phase_parity=1),
-                LaneConfig(LaneId.B2, phase_parity=1),
-            )
-        )
+        return cls(lanes=tuple(LaneConfig(lane_id) for lane_id in LaneId))
 
     def lane(self, lane_id: LaneId) -> LaneConfig:
         for lane in self.lanes:
@@ -150,19 +137,16 @@ def average_speed(min_speed: SpeedMph, max_speed: SpeedMph) -> SpeedMph:
     return (min_speed + max_speed) / 2.0
 
 
-def staying_time(num_spots: int, spot_length_ft: float, avg_speed: SpeedMph, exact: bool = False) -> float:
+def staying_time(num_spots: int, spot_length_ft: float, avg_speed: SpeedMph) -> float:
     """Seconds a vehicle spends traversing the lane's containers.
 
-    The default divisor is the mph->fps conversion rounded to 5 decimals
+    The divisor is the mph->fps conversion rounded to 5 decimals
     (62.5 mph -> 91.66667), the documented rate constant the reference exit
-    times are built on; exact=True uses the unrounded conversion.
+    times are built on.
     """
     _require(num_spots > 0, f"num_spots must be > 0, got {num_spots}")
     _require(spot_length_ft > 0, f"spot_length_ft must be > 0, got {spot_length_ft}")
-    fps = mph_to_fps(avg_speed)
-    if not exact:
-        fps = round(fps, 5)
-    return num_spots * spot_length_ft / fps
+    return num_spots * spot_length_ft / round(mph_to_fps(avg_speed), 5)
 
 
 def gate_open(lane: LaneConfig, t: int) -> bool:
@@ -193,12 +177,12 @@ def exit_second(record: ScheduleRecord) -> int:
     return math.ceil(record.exit_s)
 
 
-def transition_speed(exit_speed: SpeedMph, target_entry: SpeedMph) -> SpeedMph:
+def transition_speed(departure_speed: SpeedMph, target_entry: SpeedMph) -> SpeedMph:
     """Set-point for the stretch between intersections; the vehicle leaves the
     transition area at the downstream target."""
-    _require(exit_speed > 0, f"exit_speed must be > 0, got {exit_speed}")
+    _require(departure_speed > 0, f"departure_speed must be > 0, got {departure_speed}")
     _require(target_entry > 0, f"target_entry must be > 0, got {target_entry}")
-    return exit_speed + (target_entry - exit_speed)
+    return departure_speed + (target_entry - departure_speed)
 
 
 def check_window_feasibility(w: CapacityWindow) -> Feasibility:
@@ -238,13 +222,12 @@ def build_demand(
     triple; a paired lane's vehicle copies the features of its sibling's
     same-slot vehicle when one exists.
     """
+    # random demand tosses one coin per second of the window; take_first only
+    # matters to the arranged queue
+    spec = PatternSpec(kind, horizon_slots=cfg.run_seconds, take_first=cfg.run_seconds)
     demand: dict[LaneId, LaneDemand] = {}
     for lane in cfg.lanes_in_order:
-        if kind is PatternKind.RANDOM:
-            requests = [s for s in range(cfg.run_seconds) if rng.rand_int(0, 1) == 1]
-        else:
-            spec = PatternSpec(kind)
-            requests = generate_arrivals(spec, rng, parity=lane.phase_parity, horizon_s=cfg.run_seconds)
+        requests = generate_arrivals(spec, rng, parity=lane.phase_parity, horizon_s=cfg.run_seconds)
 
         open_slots = _open_seconds(lane, cfg.run_seconds)
         assignments: list[tuple[int, int | None]] = []  # (request second, slot or None)
@@ -314,7 +297,6 @@ def run_prodline(
     predictor: TurnPredictor | None = None,
     rng: SeededRng | None = None,
     pattern: PatternKind | None = None,
-    extra_space: float = 0.0,
 ) -> tuple[list[ScheduleRecord], RunReport]:
     """Tick the intersection for one window and record every vehicle.
 
@@ -341,12 +323,7 @@ def run_prodline(
     pending_exits: dict[int, list[Vehicle]] = {}
     turn_by_lane_second: dict[tuple[LaneId, int], TurnLabel] = {}
 
-    clock = SimClock(horizon=cfg.run_seconds)
-    while True:
-        t = clock.now
-        if t >= cfg.run_seconds:
-            break
-
+    for t in range(cfg.run_seconds):
         for v in pending_exits.pop(t, []):
             v.mark_exited()
             logger.info("Vehicle %d has exited the intersection from lane [%s]", v.id, v.lane.value)
@@ -389,9 +366,7 @@ def run_prodline(
             if leave < cfg.run_seconds:
                 pending_exits.setdefault(leave, []).append(v)
 
-        clock.tick()
-
-    report = summarize(records, pattern=pattern, extra_space_pct=extra_space, seed=rng.seed)
+    report = summarize(records, pattern=pattern, seed=rng.seed)
     return records, report
 
 
@@ -402,16 +377,21 @@ def verify_no_collisions(records: Sequence[ScheduleRecord], cfg: IntersectionCon
     until it exits; two vehicles in one lane collide when those indices
     coincide. The scheduler's one-per-open-second admission makes the answer
     0; this re-derives it from the records alone.
+
+    Each lane is swept tick by tick in arrival order, holding only the
+    vehicles on the lane at that tick; every vehicle beyond the first on a
+    container index counts as one collision.
     """
     violations = 0
     for lane_id in LaneId:
-        admitted = [r for r in records if r.lane is lane_id and r.admitted]
+        arriving = sorted((r for r in records if r.lane is lane_id and r.admitted), key=lambda r: r.arrive_s)
+        on_lane: list[tuple[float, int]] = []  # (arrive_s, exit second)
+        next_in = 0
         for t in range(cfg.run_seconds):
-            occupied: set[int] = set()
-            for r in admitted:
-                if r.arrive_s <= t and t < exit_second(r):
-                    idx = int(t - r.arrive_s)
-                    if idx in occupied:
-                        violations += 1
-                    occupied.add(idx)
+            while next_in < len(arriving) and arriving[next_in].arrive_s <= t:
+                r = arriving[next_in]
+                on_lane.append((r.arrive_s, exit_second(r)))
+                next_in += 1
+            on_lane = [(arrive, leave) for arrive, leave in on_lane if t < leave]
+            violations += len(on_lane) - len({int(t - arrive) for arrive, _ in on_lane})
     return violations

@@ -173,7 +173,7 @@ def knn_predict(query: Features, store: InstanceStore, k: int = 3, rng: SeededRn
     _require(k >= 1, f"k must be >= 1, got {k}")
     _require(len(store) >= k, f"store has {len(store)} instances, need at least k={k}")
 
-    ranked = sorted(store.instances, key=lambda inst: euclidean_distance(query, inst.features))
+    ranked = sorted(store.instances, key=lambda inst: math.dist(query, inst.features))
     neighbours = ranked[:k]
 
     votes = Counter(inst.label for inst in neighbours)

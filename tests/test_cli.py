@@ -112,15 +112,27 @@ class TestConfigFile:
     def test_overrides(self, tmp_path):
         ini = tmp_path / "intersection.ini"
         ini.write_text(
-            "[intersection]\nrun_seconds = 30\nexit_speed = 70\n"
+            "[intersection]\nrun_seconds = 30\n"
             "[lane.A1]\nnum_spots = 10\n",
             encoding="utf-8",
         )
         cfg = load_config(ini)
         assert cfg.run_seconds == 30
-        assert cfg.exit_speed == 70.0
         assert cfg.lane(LaneId.A1).num_spots == 10
         assert cfg.lane(LaneId.A2).num_spots == 60  # untouched lanes keep defaults
+
+    def test_every_lane_key_is_read(self, tmp_path):
+        ini = tmp_path / "lanes.ini"
+        ini.write_text(
+            "".join(
+                f"[lane.{lane_id.value}]\nmin_speed = 50\nmax_speed = 55.5\nnum_spots = 12\nspot_length_ft = 20.5\n"
+                for lane_id in LaneId
+            ),
+            encoding="utf-8",
+        )
+        cfg = load_config(ini)
+        for lane in cfg.lanes:
+            assert (lane.min_speed, lane.max_speed, lane.num_spots, lane.spot_length_ft) == (50.0, 55.5, 12, 20.5)
 
     def test_none_gives_defaults(self):
         assert load_config(None) == load_config(None)
@@ -132,10 +144,11 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             load_config(ini)
 
-    def test_next_entry_band_must_be_paired(self, tmp_path):
-        ini = tmp_path / "half.ini"
-        ini.write_text("[intersection]\nnext_entry_min = 100\n", encoding="utf-8")
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("key", ["exit_speed", "next_entry_min", "next_entry_max"])
+    def test_removed_key_rejected(self, tmp_path, key):
+        ini = tmp_path / "old.ini"
+        ini.write_text(f"[intersection]\n{key} = 70\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"\[intersection\] has unknown keys: \['{key}'\]"):
             load_config(ini)
 
 

@@ -1,4 +1,4 @@
-"""Unit conversions, the seeded RNG, the clock, and vehicle lifecycle."""
+"""Unit conversions, the seeded RNG, and vehicle lifecycle."""
 
 import math
 
@@ -9,7 +9,6 @@ from intersched.core import (
     InvalidStateError,
     LaneId,
     SeededRng,
-    SimClock,
     Vehicle,
     VehicleState,
     mph_to_fps,
@@ -108,25 +107,6 @@ class TestSeededRng:
     def test_spawn_rejects_negative_index(self):
         with pytest.raises(ValueError):
             SeededRng(0).spawn(-1)
-
-
-class TestSimClock:
-    def test_counts_to_horizon(self):
-        clock = SimClock(horizon=3)
-        assert [clock.tick() for _ in range(3)] == [1, 2, 3]
-        assert clock.exhausted
-
-    def test_tick_past_horizon_raises(self):
-        clock = SimClock(horizon=1)
-        clock.tick()
-        with pytest.raises(InvalidStateError):
-            clock.tick()
-
-    def test_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
-            SimClock(horizon=-1)
-        with pytest.raises(ValueError):
-            SimClock(horizon=5, now=6)
 
 
 class TestLaneId:

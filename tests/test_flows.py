@@ -142,5 +142,3 @@ class TestPatternSpec:
             PatternSpec(PatternKind.RANDOM, horizon_slots=0)
         with pytest.raises(ValueError):
             PatternSpec(PatternKind.RANDOM, take_first=0)
-        with pytest.raises(ValueError):
-            PatternSpec(PatternKind.RANDOM, arrival_probability=1.5)
