@@ -66,7 +66,6 @@ from .turns import (
     StoreFormatError,
     TurnLabel,
     TurnPredictor,
-    euclidean_distance,
     knn_predict,
     load_store,
     seed_instances,

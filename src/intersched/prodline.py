@@ -50,6 +50,9 @@ class LaneConfig:
     spot_length_ft: float = SPOT_LENGTH_FT
 
     def __post_init__(self) -> None:
+        # build_demand draws whole-mph speeds between the band edges
+        for name, value in (("min_speed", self.min_speed), ("max_speed", self.max_speed)):
+            _require(math.isfinite(value) and value == int(value), f"{name} must be a whole number of mph, got {value!r}")
         _require(0 < self.min_speed <= self.max_speed, f"bad speed band [{self.min_speed}, {self.max_speed}]")
         _require(self.num_spots > 0, f"num_spots must be > 0, got {self.num_spots}")
         _require(self.spot_length_ft > 0, f"spot_length_ft must be > 0, got {self.spot_length_ft}")

@@ -4,12 +4,19 @@ Instances are (day, hour, event) triples labelled right-turn or straight.
 The classifier starts from a hand-labelled bootstrap set, predicts with
 k=3 under Euclidean distance, and appends each prediction back into its
 store so later queries see it (self-training).
+
+Features live on a 5x24x2 lattice of 240 points, so the store indexes its
+instances by lattice point and a query walks shells of equal integer squared
+distance, nearest first, instead of sorting the whole store. On this lattice
+each of the 187 possible squared distances gives a distinct float distance,
+rising with the squared distance, so the shells visit instances in exact
+distance order; within a shell, instances keep store order. A query's cost
+depends on how far it must look, not on how large the store has grown.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -73,20 +80,62 @@ class StoreFormatError(ValueError):
         self.line_no = line_no
 
 
+_LATTICE_POINTS = 5 * 24 * 2
+
+
+def _lattice_point(day: int, hour: int, event: int) -> int:
+    return ((day - 1) * 24 + hour) * 2 + event
+
+
+def _shells() -> list[tuple[tuple[int, int, int, int], ...]]:
+    """Every (dd, dh, de) a query can see on the lattice, with its lattice-point
+    offset, grouped by dd² + dh² + de² in ascending order."""
+    by_d2: defaultdict[int, list[tuple[int, int, int, int]]] = defaultdict(list)
+    for dd in range(-4, 5):
+        for dh in range(-23, 24):
+            for de in (-1, 0, 1):
+                by_d2[dd * dd + dh * dh + de * de].append((dd, dh, de, (dd * 24 + dh) * 2 + de))
+    return [tuple(by_d2[d2]) for d2 in sorted(by_d2)]
+
+
+# One table shared by every query: 1,269 offsets in 187 shells.
+_SHELLS = _shells()
+
+
 @dataclass
 class InstanceStore:
     """Ordered collection of labelled instances, optionally file-backed.
 
     Order matters: ties in distance are broken by store order, and the
     on-disk layout (one instance per line) round-trips byte-for-byte.
+
+    The lattice index behind `knn_predict` follows `instances` by catching up
+    on appended instances and rebuilding when the list is replaced or shrinks;
+    any other edit of `instances` must assign a new list.
     """
 
     instances: list[KnnInstance] = field(default_factory=list)
     features_path: Path | None = None
     labels_path: Path | None = None
+    _postings: list[list[int]] = field(default_factory=list, init=False, repr=False, compare=False)
+    _indexed: int = field(default=0, init=False, repr=False, compare=False)
+    _indexed_list: list[KnnInstance] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.instances)
+
+    def _postings_by_point(self) -> list[list[int]]:
+        """Store indices of the instances at each lattice point, in store order."""
+        instances = self.instances
+        if instances is not self._indexed_list or len(instances) < self._indexed:
+            self._postings = [[] for _ in range(_LATTICE_POINTS)]
+            self._indexed = 0
+            self._indexed_list = instances
+        for index in range(self._indexed, len(instances)):
+            inst = instances[index]
+            self._postings[_lattice_point(inst.day, inst.hour, inst.event)].append(index)
+        self._indexed = len(instances)
+        return self._postings
 
     def append(self, instance: KnnInstance) -> None:
         """Add an instance, persisting it when the store is file-backed."""
@@ -155,26 +204,39 @@ def load_store(features_path: Path | str, labels_path: Path | str) -> InstanceSt
     return InstanceStore(instances, features_path, labels_path)
 
 
-def euclidean_distance(a: Features, b: Features) -> float:
-    _require(len(a) == len(b), f"feature arity mismatch: {len(a)} vs {len(b)}")
-    return math.dist(a, b)
-
-
 def knn_predict(query: Features, store: InstanceStore, k: int = 3, rng: SeededRng | None = None) -> TurnLabel:
     """Majority label among the k nearest stored instances.
 
-    The distance sort is stable, so equidistant instances keep store order
-    and the neighbour list is truncated to exactly k. A tie between modal
-    labels (impossible at k=3 with two classes, possible at even k) is
-    broken uniformly at random among the tied labels in order of first
-    appearance within the neighbours; that draw is the only randomness.
+    Neighbours are taken shell by shell in ascending Euclidean distance.
+    Within a shell, instances come in store order, and the last shell needed
+    contributes only its earliest-stored instances, so the neighbour list is
+    exactly k long: the first k of the store sorted stably by distance. A
+    tie between modal labels (impossible at k=3 with two classes, possible
+    at even k) is broken uniformly at random among the tied labels in order
+    of first appearance within the neighbours; that draw is the only
+    randomness.
     """
     validate_features(query)
     _require(k >= 1, f"k must be >= 1, got {k}")
     _require(len(store) >= k, f"store has {len(store)} instances, need at least k={k}")
 
-    ranked = sorted(store.instances, key=lambda inst: math.dist(query, inst.features))
-    neighbours = ranked[:k]
+    postings = store._postings_by_point()
+    day, hour, event = query
+    origin = _lattice_point(day, hour, event)
+    neighbours: list[KnnInstance] = []
+    for shell in _SHELLS:
+        need = k - len(neighbours)
+        found: list[int] = []
+        for dd, dh, de, offset in shell:
+            if 1 <= day + dd <= 5 and 0 <= hour + dh <= 23 and 0 <= event + de <= 1:
+                # each point's postings are in store order, so its first
+                # `need` are the only ones that can survive the merge
+                found += postings[origin + offset][:need]
+        if found:
+            found.sort()
+            neighbours += [store.instances[index] for index in found[:need]]
+            if len(neighbours) == k:
+                break
 
     votes = Counter(inst.label for inst in neighbours)
     best = max(votes.values())

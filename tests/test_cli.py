@@ -107,6 +107,24 @@ class TestProdlineCommand:
         )
         assert code == 1 and "error:" in err
 
+    @pytest.mark.parametrize(
+        "band, message",
+        [
+            ("max_speed = inf", "max_speed must be a whole number of mph, got inf"),
+            ("min_speed = 0.5", "min_speed must be a whole number of mph, got 0.5"),
+            ("min_speed = 60.5\nmax_speed = 60.9", "min_speed must be a whole number of mph, got 60.5"),
+        ],
+    )
+    def test_speed_band_edges_must_be_whole_mph(self, capsys, tmp_path, band, message):
+        ini = tmp_path / "band.ini"
+        ini.write_text(f"[lane.A1]\n{band}\n", encoding="utf-8")
+        for seed in ("2", "5"):
+            code, out, err = run_cli(
+                capsys, "prodline", "--config", str(ini), "--pattern", "worst",
+                "--seed", seed, "--out-dir", str(tmp_path),
+            )
+            assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestConfigFile:
     def test_overrides(self, tmp_path):
@@ -125,14 +143,14 @@ class TestConfigFile:
         ini = tmp_path / "lanes.ini"
         ini.write_text(
             "".join(
-                f"[lane.{lane_id.value}]\nmin_speed = 50\nmax_speed = 55.5\nnum_spots = 12\nspot_length_ft = 20.5\n"
+                f"[lane.{lane_id.value}]\nmin_speed = 50\nmax_speed = 56\nnum_spots = 12\nspot_length_ft = 20.5\n"
                 for lane_id in LaneId
             ),
             encoding="utf-8",
         )
         cfg = load_config(ini)
         for lane in cfg.lanes:
-            assert (lane.min_speed, lane.max_speed, lane.num_spots, lane.spot_length_ft) == (50.0, 55.5, 12, 20.5)
+            assert (lane.min_speed, lane.max_speed, lane.num_spots, lane.spot_length_ft) == (50.0, 56.0, 12, 20.5)
 
     def test_none_gives_defaults(self):
         assert load_config(None) == load_config(None)

@@ -194,6 +194,16 @@ class TestIntersectionConfig:
             with pytest.raises(TypeError):
                 LaneConfig(lane_id, phase_parity=1 - parity)
 
+    @pytest.mark.parametrize("edge", ["min_speed", "max_speed"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 60.5, 0.5])
+    def test_speed_band_edges_must_be_whole_finite_mph(self, edge, value):
+        with pytest.raises(ValueError, match=f"{edge} must be a whole number of mph"):
+            LaneConfig(LaneId.A1, **{edge: value})
+
+    def test_whole_valued_band_edges_are_accepted(self):
+        lane = LaneConfig(LaneId.A1, min_speed=61, max_speed=64.0)
+        assert (lane.min_speed, lane.max_speed) == (61, 64.0)
+
 
 class TestBuildDemand:
     def test_average_fills_every_open_slot(self):

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from test_acceptance import _brute_force_knn
 
 from intersched.core import SeededRng
 from intersched.turns import (
@@ -11,7 +12,6 @@ from intersched.turns import (
     StoreFormatError,
     TurnLabel,
     TurnPredictor,
-    euclidean_distance,
     knn_predict,
     load_store,
     seed_instances,
@@ -19,6 +19,7 @@ from intersched.turns import (
 
 RIGHT = TurnLabel.RIGHT_TURN
 STRAIGHT = TurnLabel.STRAIGHT
+LATTICE = [(day, hour, event) for day in range(1, 6) for hour in range(24) for event in (0, 1)]
 
 
 class TestLabels:
@@ -35,23 +36,6 @@ class TestLabels:
             KnnInstance(0, 9, 0, RIGHT)
         with pytest.raises(ValueError):
             KnnInstance(1, 24, 0, RIGHT)
-
-
-class TestDistance:
-    def test_examples(self):
-        assert euclidean_distance((1, 9, 0), (1, 4, 1)) == pytest.approx(math.sqrt(26))
-        assert euclidean_distance((1, 0, 0), (3, 0, 0)) == 2.0
-        assert euclidean_distance((2, 7, 1), (2, 7, 1)) == 0.0
-
-    def test_symmetry(self):
-        pts = [(1, 9, 0), (5, 19, 1), (3, 0, 0), (2, 23, 1)]
-        for a in pts:
-            for b in pts:
-                assert euclidean_distance(a, b) == euclidean_distance(b, a)
-
-    def test_arity_mismatch(self):
-        with pytest.raises(ValueError):
-            euclidean_distance((1, 2, 3), (1, 2))
 
 
 def bootstrap():
@@ -123,7 +107,7 @@ class TestKnnPredict:
         shuffled = list(store.instances)
         rng.shuffle(shuffled)
         for query in [(1, 9, 0), (5, 20, 1), (3, 12, 0), (2, 6, 1)]:
-            ranked = sorted(euclidean_distance(query, i.features) for i in store.instances)
+            ranked = sorted(math.dist(query, i.features) for i in store.instances)
             if ranked[2] == ranked[3]:  # boundary tie, order may matter
                 continue
             assert knn_predict(query, store, k=3) is knn_predict(
@@ -137,6 +121,83 @@ class TestKnnPredict:
     def test_empty_store(self):
         with pytest.raises(ValueError):
             knn_predict((1, 9, 0), InstanceStore([]), k=1)
+
+
+def _squared_distance(a, b):
+    return sum((x - y) ** 2 for x, y in zip(a, b))
+
+
+def _next_draw(rng):
+    """A draw that tells two generators apart unless they took equally many draws."""
+    return rng.rand_int(0, 2**31)
+
+
+class TestLatticeIndex:
+    def test_distance_order_is_squared_distance_order(self):
+        # the premise of knn_predict's shell walk, over all 240 x 240 pairs
+        dists_by_d2 = {}
+        for query in LATTICE:
+            by_dist = sorted(LATTICE, key=lambda point: math.dist(query, point))
+            by_d2 = sorted(LATTICE, key=lambda point: _squared_distance(query, point))
+            assert by_dist == by_d2
+            for point in LATTICE:
+                dists_by_d2.setdefault(_squared_distance(query, point), set()).add(math.dist(query, point))
+        # no shell splits into two floats, and the floats rise strictly shell by shell
+        assert all(len(dists) == 1 for dists in dists_by_d2.values())
+        dists = [min(dists_by_d2[d2]) for d2 in sorted(dists_by_d2)]
+        assert all(a < b for a, b in zip(dists, dists[1:]))
+        assert len(dists) == 187
+
+    def test_index_follows_appended_replaced_and_shrunk_lists(self):
+        far, near = KnnInstance(2, 10, 0, STRAIGHT), KnnInstance(2, 9, 0, RIGHT)
+        store = InstanceStore([far])
+        assert knn_predict((2, 9, 0), store, k=1) is STRAIGHT
+        store.instances.append(near)
+        assert knn_predict((2, 9, 0), store, k=1) is RIGHT
+        store.instances = [far]
+        assert knn_predict((2, 9, 0), store, k=1) is STRAIGHT
+        store.instances.append(near)
+        assert knn_predict((2, 9, 0), store, k=1) is RIGHT
+        del store.instances[1:]
+        assert knn_predict((2, 9, 0), store, k=1) is STRAIGHT
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+    def test_matches_brute_force_while_self_training(self, k, tmp_path):
+        """Stores built by the constructor, by load_store and by append answer
+        3,000 self-training queries as the sort-based oracle does, taking the
+        same tie-break draws."""
+        f, l = tmp_path / "features.txt", tmp_path / "labels.txt"
+        InstanceStore(seed_instances()).save(f, l)
+        appended = InstanceStore()
+        for inst in seed_instances():
+            appended.append(inst)
+        stores = {"constructor": InstanceStore(seed_instances()), "load_store": load_store(f, l), "append": appended}
+        instances = seed_instances()
+        query_rng, flip_rng = SeededRng(4004), SeededRng(5005)
+        ties = 0
+        for step in range(3000):
+            if step % 500 == 0:
+                stores["constructor"] = InstanceStore(list(instances))
+            if step % 1000 == 0:
+                stores["load_store"] = load_store(f, l)
+            query = (query_rng.rand_int(1, 5), query_rng.rand_int(0, 23), query_rng.rand_int(0, 1))
+            oracle_rng = SeededRng(step)
+            expect = _brute_force_knn(query, instances, k, oracle_rng)
+            after = _next_draw(oracle_rng)
+            ties += after != _next_draw(SeededRng(step))
+            for how, store in stores.items():
+                rng = SeededRng(step)
+                assert knn_predict(query, store, k, rng) is expect, (how, step)
+                assert _next_draw(rng) == after, (how, step)
+            # an occasional flipped label keeps the vote mixed, so even k meets ties
+            label = expect
+            if flip_rng.rand_int(0, 7) == 0:
+                label = STRAIGHT if expect is RIGHT else RIGHT
+            instances.append(KnnInstance(*query, label))
+            for store in stores.values():
+                store.append(KnnInstance(*query, label))
+        assert (ties > 0) == (k % 2 == 0), ties
+        assert load_store(f, l).instances == instances
 
 
 class TestStorePersistence:
