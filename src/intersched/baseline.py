@@ -6,10 +6,19 @@ east/south pair shares exactly one crossing cell. A pair conflicts when their
 closed occupancy intervals at that cell overlap, which charges a 5.58 s
 penalty to the blocked car and ripples the same penalty back through its
 lane. Collision and waiting figures are averaged over many seeded runs.
+
+Every car runs at one speed, so a pair's verdict depends only on two
+integers: the east car's distance to the crossing cell (south x - east x)
+and the south car's (east y - south y). `verdict_table` applies the interval
+test once per distance pair, and `conflict_matrix` looks every pair up in
+it. Lanes fill from the feeder's first cell, so the cars at or behind a car
+in its lane number its feeder offset + 1; the lane tail needs no pairwise
+count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -19,7 +28,6 @@ import numpy as np
 from .core import (
     SeededRng,
     SpeedFps,
-    SpeedMph,
     _require,
     mph_to_fps,
     mph_to_fps_truncated,
@@ -43,7 +51,6 @@ class PlacedVehicle:
     x: int
     y: int
     direction: Direction
-    speed_mph: SpeedMph = BASELINE_SPEED_MPH
     waiting_s: float = 0.0
 
 
@@ -136,10 +143,11 @@ def detect_conflict(a: Interval, b: Interval) -> bool:
     return not (a.arrive > b.leave or a.leave < b.arrive)
 
 
-def _car_fps(car: PlacedVehicle, compat_int_fps: bool) -> SpeedFps:
+def _grid_fps(compat_int_fps: bool) -> SpeedFps:
+    """The one speed every grid car runs at, in feet per second."""
     if compat_int_fps:
-        return mph_to_fps_truncated(car.speed_mph)
-    return mph_to_fps(car.speed_mph)
+        return mph_to_fps_truncated(BASELINE_SPEED_MPH)
+    return mph_to_fps(BASELINE_SPEED_MPH)
 
 
 def place_vehicles(cfg: GridConfig, n: int, rng: SeededRng) -> list[PlacedVehicle]:
@@ -153,34 +161,22 @@ def place_vehicles(cfg: GridConfig, n: int, rng: SeededRng) -> list[PlacedVehicl
     _require(n >= 0 and n % 2 == 0, f"n must be even and >= 0, got {n}")
     _require(n <= 2 * cfg.capacity_per_side, f"n={n} exceeds capacity {2 * cfg.capacity_per_side}")
 
-    feed_lo, _ = cfg.feeder_range
+    feed_lo, feed_len, half = cfg.feeder_range[0], cfg.feeder_len, n // 2
     band = list(range(cfg.intersection_band[0], cfg.intersection_band[1] + 1))
     east_rows = band.copy()
     rng.shuffle(east_rows)
     south_cols = band.copy()
     rng.shuffle(south_cols)
 
-    cars: list[PlacedVehicle] = []
-    for i in range(n // 2):
-        cars.append(
-            PlacedVehicle(
-                id=i,
-                x=feed_lo + i % cfg.feeder_len,
-                y=east_rows[i // cfg.feeder_len],
-                direction=Direction.EAST,
-            )
-        )
-    last_lane = cfg.lanes_per_direction - 1
-    for j in range(n // 2):
-        cars.append(
-            PlacedVehicle(
-                id=n // 2 + j,
-                x=south_cols[min(j // cfg.feeder_len, last_lane)],
-                y=feed_lo + j % cfg.feeder_len,
-                direction=Direction.SOUTH,
-            )
-        )
-    return cars
+    east = [
+        PlacedVehicle(i, feed_lo + i % feed_len, east_rows[i // feed_len], Direction.EAST)
+        for i in range(half)
+    ]
+    south = [
+        PlacedVehicle(half + j, south_cols[j // feed_len], feed_lo + j % feed_len, Direction.SOUTH)
+        for j in range(half)
+    ]
+    return east + south
 
 
 def meeting_events(
@@ -197,20 +193,19 @@ def meeting_events(
     band_lo = cfg.intersection_band[0]
     east = [c for c in cars if c.direction is Direction.EAST]
     south = [c for c in cars if c.direction is Direction.SOUTH]
+    fps = _grid_fps(compat_int_fps)
+    occ = point_occupation_time(cfg.cell_ft, fps)
     events: list[MeetingEvent] = []
     for a in east:
-        fps_a = _car_fps(a, compat_int_fps)
-        occ_a = point_occupation_time(cfg.cell_ft, fps_a)
         for b in south:
             if not (a.x < b.x and b.x >= band_lo and b.y <= band_lo - 1):
                 continue
             if not (b.y < a.y and a.y >= band_lo and b.x >= band_lo - 1):
                 continue
-            fps_b = _car_fps(b, compat_int_fps)
-            arrive_a = time_to_arrive(b.x, a.x, fps_a, cfg.cell_ft)
-            arrive_b = time_to_arrive(a.y, b.y, fps_b, cfg.cell_ft)
-            leave_a = arrive_a + occ_a
-            leave_b = arrive_b + point_occupation_time(cfg.cell_ft, fps_b)
+            arrive_a = time_to_arrive(b.x, a.x, fps, cfg.cell_ft)
+            arrive_b = time_to_arrive(a.y, b.y, fps, cfg.cell_ft)
+            leave_a = arrive_a + occ
+            leave_b = arrive_b + occ
             events.append(
                 MeetingEvent(
                     car_a=a.id,
@@ -267,26 +262,58 @@ def apply_conflict_waiting(
             propagate_waiting(cars, blocked, penalty_s)
 
 
+@functools.lru_cache(maxsize=8)
+def verdict_table(cfg: GridConfig, fps: SpeedFps) -> np.ndarray:
+    """Read-only conflict verdicts indexed [d_e, d_s] by the east and south
+    cars' distances in cells to their shared crossing cell.
+
+    Both axes run 0..band end - feeder start, the longest distance a car in
+    its feeder x band rectangle can have. Each entry is `detect_conflict` on
+    the closed intervals [arrive, arrive + cell_ft / fps] with arrive =
+    d * cell_ft / fps, the arithmetic `meeting_events` uses. Cached, because
+    every run of a sweep shares one config and one speed.
+    """
+    occ = point_occupation_time(cfg.cell_ft, fps)
+    longest = cfg.intersection_band[1] - cfg.feeder_range[0]
+    arrivals = [time_to_arrive(d, 0, fps, cfg.cell_ft) for d in range(longest + 1)]
+    intervals = [Interval(arrive, arrive + occ) for arrive in arrivals]
+    table = np.array([[detect_conflict(e, s) for s in intervals] for e in intervals])
+    table.flags.writeable = False
+    return table
+
+
+def _grid_coords(
+    cars: list[PlacedVehicle], x_range: tuple[int, int], y_range: tuple[int, int], label: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cars' x and y as integer arrays, each car checked to lie inside
+    x_range x y_range: a car outside it meets no pair of the other flow."""
+    x = np.fromiter((c.x for c in cars), np.intp, len(cars))
+    y = np.fromiter((c.y for c in cars), np.intp, len(cars))
+    outside = (x < x_range[0]) | (x > x_range[1]) | (y < y_range[0]) | (y > y_range[1])
+    if outside.any():
+        car = cars[int(outside.argmax())]
+        raise ValueError(f"{label} car {car.id} at ({car.x}, {car.y}) lies outside x {x_range}, y {y_range}")
+    return x, y
+
+
 def conflict_matrix(
     east: list[PlacedVehicle], south: list[PlacedVehicle], cfg: GridConfig, compat_int_fps: bool = False
 ) -> np.ndarray:
-    """Boolean conflict verdicts for every (east, south) pair, vectorized.
+    """Boolean conflict verdicts for every (east, south) pair.
 
-    Same arithmetic as meeting_events/detect_conflict, evaluated on arrays;
-    the pure-Python route stays available as an independent cross-check.
+    Entry [i, j] is `verdict_table`'s entry for the pair's two distances to
+    their crossing cell, sx - ex and ey - sy. With w the table's width, east
+    car i has key ey - w*ex and south car j key w*sx - sy; their sum is the
+    pair's index into the flattened table, so the mask is one broadcast add
+    and one take. East cars must lie in feeder x band and south cars in
+    band x feeder, else ValueError: such a pair never meets.
     """
-    ex = np.array([c.x for c in east], dtype=np.float64)
-    ey = np.array([c.y for c in east], dtype=np.float64)
-    efps = np.array([_car_fps(c, compat_int_fps) for c in east])
-    sx = np.array([c.x for c in south], dtype=np.float64)
-    sy = np.array([c.y for c in south], dtype=np.float64)
-    sfps = np.array([_car_fps(c, compat_int_fps) for c in south])
-
-    arrive_e = (sx[None, :] - ex[:, None]) * cfg.cell_ft / efps[:, None]
-    arrive_s = (ey[:, None] - sy[None, :]) * cfg.cell_ft / sfps[None, :]
-    leave_e = arrive_e + cfg.cell_ft / efps[:, None]
-    leave_s = arrive_s + cfg.cell_ft / sfps[None, :]
-    return ~((arrive_e > leave_s) | (leave_e < arrive_s))
+    table = verdict_table(cfg, _grid_fps(compat_int_fps))
+    w = table.shape[1]
+    feeder, band = cfg.feeder_range, cfg.intersection_band
+    ex, ey = _grid_coords(east, feeder, band, "east")
+    sx, sy = _grid_coords(south, band, feeder, "south")
+    return table.ravel().take((ey - w * ex)[:, None] + (w * sx - sy)[None, :])
 
 
 def _run_single(cfg: GridConfig, n: int, rng: SeededRng, compat_int_fps: bool) -> tuple[int, float]:
@@ -298,17 +325,15 @@ def _run_single(cfg: GridConfig, n: int, rng: SeededRng, compat_int_fps: bool) -
         return 0, 0.0
 
     mask = conflict_matrix(east, south, cfg, compat_int_fps)
-    ex = np.array([c.x for c in east])
-    ey = np.array([c.y for c in east])
-    sx = np.array([c.x for c in south])
-    sy = np.array([c.y for c in south])
-    # cars at-or-behind each car in its own lane (the car itself included)
-    behind_e = ((ey[None, :] == ey[:, None]) & (ex[None, :] <= ex[:, None])).sum(axis=1)
-    behind_s = ((sx[None, :] == sx[:, None]) & (sy[None, :] <= sy[:, None])).sum(axis=1)
+    lo = cfg.feeder_range[0]
+    # lanes fill from the feeder's first cell, so the cars at-or-behind a car
+    # in its own lane (the car itself included) number its feeder offset + 1
+    behind_e = np.fromiter((c.x for c in east), np.intp, len(east)) - lo + 1
+    behind_s = np.fromiter((c.y for c in south), np.intp, len(south)) - lo + 1
 
-    conflicts_e = mask.sum(axis=1)  # conflicts seen from each east car
-    conflicts_s = mask.sum(axis=0)
-    errors = 2 * int(mask.sum())  # every pair is scanned once per direction
+    conflicts_e = np.count_nonzero(mask, axis=1)  # conflicts seen from each east car
+    conflicts_s = np.count_nonzero(mask, axis=0)
+    errors = 2 * int(conflicts_e.sum())  # every pair is scanned once per direction
     total_waiting = WAIT_PENALTY_S * (
         float(conflicts_e @ (1 + behind_e)) + float(conflicts_s @ (1 + behind_s))
     )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from intersched import baseline
 from intersched.baseline import (
     BASELINE_SPEED_MPH,
     CELL_FT,
@@ -21,10 +22,23 @@ from intersched.baseline import (
     propagate_waiting,
     run_baseline,
     time_to_arrive,
+    verdict_table,
 )
 from intersched.core import SeededRng, mph_to_fps, mph_to_fps_truncated
 
 CFG = GridConfig()
+# every field that shapes the geometry moved off its default
+ODD_CFG = GridConfig(
+    cell_ft=10.0,
+    intersection_band=(45, 54),
+    feeder_range=(3, 30),
+    lanes_per_direction=10,
+    capacity_per_side=280,
+)
+
+
+def _fps(compat_int_fps):
+    return (mph_to_fps_truncated if compat_int_fps else mph_to_fps)(BASELINE_SPEED_MPH)
 
 
 class TestGridConfig:
@@ -161,6 +175,17 @@ class TestPlacement:
     def test_zero_cars(self):
         assert place_vehicles(CFG, 0, SeededRng(0)) == []
 
+    @given(st.integers(1, CFG.capacity_per_side), st.integers(0, 2**64 - 1))
+    def test_lane_tail_is_the_feeder_offset_plus_one(self, half, seed):
+        # the premise behind run_baseline's analytic lane tail
+        cars = place_vehicles(CFG, 2 * half, SeededRng(seed))
+        lo = CFG.feeder_range[0]
+        east, south = cars[:half], cars[half:]
+        lane_e, pos_e = np.array([c.y for c in east]), np.array([c.x for c in east])
+        lane_s, pos_s = np.array([c.x for c in south]), np.array([c.y for c in south])
+        assert np.array_equal(_at_or_behind(lane_e, pos_e), pos_e - lo + 1)
+        assert np.array_equal(_at_or_behind(lane_s, pos_s), pos_s - lo + 1)
+
 
 def _east(car_id, x, y):
     return PlacedVehicle(id=car_id, x=x, y=y, direction=Direction.EAST)
@@ -278,6 +303,120 @@ class TestVectorizedAgreement:
             (2 * n_conflicts / 2) / n, abs=1e-12
         )
         assert report.avg_waiting_s == pytest.approx((total_waiting / 2) / n, rel=1e-12)
+
+
+def _at_or_behind(lane, pos):
+    """Per car: the cars in its own lane at or behind it, itself included."""
+    return ((lane[None, :] == lane[:, None]) & (pos[None, :] <= pos[:, None])).sum(axis=1)
+
+
+def _oracle_conflict_matrix(east, south, cfg, compat_int_fps=False):
+    """Every pair's occupancy intervals evaluated on float (n_east, n_south)
+    arrays: the kernel `conflict_matrix` replaced with a table lookup."""
+    fps = _fps(compat_int_fps)
+    ex = np.array([c.x for c in east], dtype=np.float64)
+    ey = np.array([c.y for c in east], dtype=np.float64)
+    sx = np.array([c.x for c in south], dtype=np.float64)
+    sy = np.array([c.y for c in south], dtype=np.float64)
+    arrive_e = (sx[None, :] - ex[:, None]) * cfg.cell_ft / fps
+    arrive_s = (ey[:, None] - sy[None, :]) * cfg.cell_ft / fps
+    leave_e = arrive_e + cfg.cell_ft / fps
+    leave_s = arrive_s + cfg.cell_ft / fps
+    return ~((arrive_e > leave_s) | (leave_e < arrive_s))
+
+
+def _oracle_run_single(cfg, n, rng, compat_int_fps):
+    """One run with the oracle mask and the lane tails counted pairwise."""
+    cars = place_vehicles(cfg, n, rng)
+    east, south = cars[: n // 2], cars[n // 2 :]
+    if not east or not south:
+        return 0, 0.0
+    mask = _oracle_conflict_matrix(east, south, cfg, compat_int_fps)
+    behind_e = _at_or_behind(np.array([c.y for c in east]), np.array([c.x for c in east]))
+    behind_s = _at_or_behind(np.array([c.x for c in south]), np.array([c.y for c in south]))
+    conflicts_e = mask.sum(axis=1)
+    conflicts_s = mask.sum(axis=0)
+    errors = 2 * int(mask.sum())
+    total_waiting = WAIT_PENALTY_S * (
+        float(conflicts_e @ (1 + behind_e)) + float(conflicts_s @ (1 + behind_s))
+    )
+    return errors, total_waiting
+
+
+ORACLE_CASES = [pytest.param(CFG, n, id=f"default-{n}") for n in (2, 50, 724, 1444)] + [
+    pytest.param(ODD_CFG, n, id=f"odd-{n}") for n in (2, 50, 280, 560)
+]
+
+
+class TestOracleAgreement:
+    @pytest.mark.parametrize("compat", [False, True])
+    @pytest.mark.parametrize("cfg, n", ORACLE_CASES)
+    def test_mask_matches_float_broadcast(self, cfg, n, compat):
+        for seed in (0, 5, 42):
+            cars = place_vehicles(cfg, n, SeededRng(seed))
+            east, south = cars[: n // 2], cars[n // 2 :]
+            mask = conflict_matrix(east, south, cfg, compat_int_fps=compat)
+            assert mask.dtype == bool and mask.shape == (n // 2, n // 2)
+            assert np.array_equal(mask, _oracle_conflict_matrix(east, south, cfg, compat))
+
+    @pytest.mark.parametrize("compat", [False, True])
+    @pytest.mark.parametrize("cfg, n", ORACLE_CASES)
+    def test_reports_match_by_repr(self, cfg, n, compat, monkeypatch):
+        report = run_baseline(cfg, n, runs=3, rng=SeededRng(n), compat_int_fps=compat)
+        monkeypatch.setattr(baseline, "_run_single", _oracle_run_single)
+        oracle = run_baseline(cfg, n, runs=3, rng=SeededRng(n), compat_int_fps=compat)
+        assert repr(report) == repr(oracle)
+
+    @pytest.mark.parametrize(
+        "east, south",
+        [
+            ([_east(0, 45, 45)], [_south(1, 44, 20)]),  # east car past the column
+            ([_east(0, 0, 45)], [_south(1, 44, 20)]),  # before the feeder starts
+            ([_east(0, 30, 39)], [_south(1, 44, 20)]),  # row outside the band
+            ([_east(0, 30, 45)], [_south(1, 44, 41)]),  # south car inside the band
+            ([_east(0, 30, 45)], [_south(1, 59, 20)]),  # column outside the band
+        ],
+    )
+    def test_cars_outside_their_rectangle_are_rejected(self, east, south):
+        with pytest.raises(ValueError, match="lies outside"):
+            conflict_matrix(east, south, CFG)
+
+
+class TestVerdictTable:
+    @pytest.mark.parametrize("compat, misses", [(False, 20), (True, 16)])
+    def test_float_rule_misses_touching_cells(self, compat, misses):
+        # With one speed the closed intervals overlap exactly when the two
+        # distances differ by at most 1. The float table agrees except where
+        # they differ by exactly 1 and the intervals only touch: there
+        # rounding decides, and some touching pairs read "no conflict".
+        table = verdict_table(CFG, _fps(compat))
+        shortest = CFG.intersection_band[0] - CFG.feeder_range[1]
+        longest = CFG.intersection_band[1] - CFG.feeder_range[0]
+        d = np.arange(shortest, longest + 1)
+        reachable = table[np.ix_(d, d)]
+        assert reachable.shape == (56, 56)
+        gap = np.abs(d[:, None] - d[None, :])
+        exact = gap <= 1
+        touching = gap == 1
+        assert np.array_equal(reachable[~touching], exact[~touching])
+        assert not (reachable & ~exact).any()
+        assert touching.sum() == 110
+        assert np.count_nonzero(~reachable[touching]) == misses
+
+    def test_fps_modes_differ_in_touching_cells_only(self):
+        # so --compat-int-fps still changes outputs: 16 touching cells flip,
+        # 10 of them to "conflict", which nets the 20 vs 16 misses above
+        exact_fps, truncated = verdict_table(CFG, _fps(False)), verdict_table(CFG, _fps(True))
+        d_e, d_s = np.nonzero(exact_fps != truncated)
+        assert len(d_e) == 16
+        assert (np.abs(d_e - d_s) == 1).all()
+        assert np.count_nonzero(truncated[d_e, d_s]) == 10
+
+    def test_cached_and_read_only(self):
+        table = verdict_table(CFG, _fps(False))
+        assert verdict_table(GridConfig(), _fps(False)) is table
+        with pytest.raises(ValueError):
+            table[0, 0] = False
 
 
 class TestRunBaseline:
