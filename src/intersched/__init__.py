@@ -41,22 +41,16 @@ from .flows import (
     waiting_pct,
 )
 from .prodline import (
-    CapacityWindow,
     Decision,
-    Feasibility,
     IntersectionConfig,
     LaneConfig,
     RejectReason,
     ScheduleRecord,
     admit,
-    average_speed,
     build_demand,
-    check_window_feasibility,
     exit_second,
     gate_open,
     run_prodline,
-    staying_time,
-    transition_speed,
     verify_no_collisions,
 )
 from .report import ComparisonTable, Model, RunReport, emit_csv, emit_json, emit_schedule_csv, summarize

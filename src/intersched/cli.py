@@ -24,7 +24,6 @@ from .flows import (
     LANE_CAPACITY,
     PatternKind,
     PatternSpec,
-    QUEUE_SLOT_S,
     arranged_wait,
     extra_space_pct,
     generate_arrivals,
@@ -176,7 +175,7 @@ def _cmd_flow(args: argparse.Namespace) -> int:
         payload["per_vehicle_wait_s"] = None
         payload["avg_wait_s"] = None
     else:
-        result = arranged_wait(arrivals, min(args.take, len(arrivals)), QUEUE_SLOT_S)
+        result = arranged_wait(arrivals, min(args.take, len(arrivals)))
         payload["per_vehicle_wait_s"] = result.per_vehicle_wait_s
         payload["avg_wait_s"] = result.avg_wait_s
     payload["extra_space_pct"] = extra_space_pct(kind, n_requests=len(arrivals))
@@ -252,7 +251,7 @@ def reproduce_all(seed: int, out_dir: Path) -> list[Path]:
 
     queue_spec = PatternSpec(PatternKind.RANDOM)
     arrivals = generate_arrivals(queue_spec, master.spawn(20))
-    queue = arranged_wait(arrivals, queue_spec.take_first, queue_spec.slot_seconds)
+    queue = arranged_wait(arrivals, queue_spec.take_first)
     written.append(
         emit_json(
             {
@@ -285,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("-v", "--verbose", action="store_true", help="log admissions and exits")
+    parser.add_argument("-v", "--verbose", action="store_true", help="log each admission")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("baseline", help="grid reservation model: collisions and waiting")

@@ -11,10 +11,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence
-
-if TYPE_CHECKING:
-    from .turns import TurnLabel
+from typing import Sequence
 
 SpeedMph = float
 SpeedFps = float
@@ -117,7 +114,6 @@ class VehicleState(Enum):
     PENDING = "pending"
     ENTERED = "entered"
     REJECTED = "rejected"
-    EXITED = "exited"
 
 
 Features = tuple[int, int, int]
@@ -137,10 +133,10 @@ def validate_features(features: Features) -> None:
 class Vehicle:
     """One vehicle in the slot-scheduled model.
 
-    State moves PENDING -> ENTERED -> EXITED, or PENDING -> REJECTED;
-    anything else raises InvalidStateError. `arrival_s` is the second the
-    vehicle presents at its lane's gate; `waiting_s` accumulates any delay
-    between wanting to enter and being scheduled.
+    State moves once, PENDING -> ENTERED or PENDING -> REJECTED; anything
+    else raises InvalidStateError. `arrival_s` is the second the vehicle
+    presents at its lane's gate; `waiting_s` accumulates any delay between
+    wanting to enter and being scheduled.
     """
 
     id: int
@@ -149,7 +145,6 @@ class Vehicle:
     arrival_s: float
     state: VehicleState = VehicleState.PENDING
     features: Features | None = None
-    predicted_turn: "TurnLabel | None" = None
     waiting_s: float = field(default=0.0)
 
     def __post_init__(self) -> None:
@@ -171,6 +166,3 @@ class Vehicle:
 
     def mark_rejected(self) -> None:
         self._transition(VehicleState.PENDING, VehicleState.REJECTED)
-
-    def mark_exited(self) -> None:
-        self._transition(VehicleState.ENTERED, VehicleState.EXITED)

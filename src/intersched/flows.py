@@ -31,13 +31,11 @@ class PatternSpec:
     kind: PatternKind
     horizon_slots: int = 720
     take_first: int = 60
-    slot_seconds: float = QUEUE_SLOT_S
 
     def __post_init__(self) -> None:
         _require(self.horizon_slots > 0, f"horizon_slots must be > 0, got {self.horizon_slots}")
         _require(0 < self.take_first <= self.horizon_slots,
                  f"take_first must be in 1..{self.horizon_slots}, got {self.take_first}")
-        _require(self.slot_seconds > 0.0, f"slot_seconds must be > 0, got {self.slot_seconds}")
 
 
 def generate_arrivals(spec: PatternSpec, rng: SeededRng, parity: int = 0, horizon_s: int = 60) -> list[int]:
@@ -64,16 +62,15 @@ class QueueResult:
     arranged_positions: list[int]
     per_vehicle_wait_s: list[float]
     avg_wait_s: float
-    slot_seconds: float = QUEUE_SLOT_S
     taken: int = field(default=0)
 
 
-def arranged_wait(arrivals: list[int], take_first: int = 60, slot_seconds: float = QUEUE_SLOT_S) -> QueueResult:
+def arranged_wait(arrivals: list[int], take_first: int = 60) -> QueueResult:
     """Assign the first `take_first` arrivals to every-other-slot positions
     and charge each vehicle for how far it was pushed back.
 
     Vehicle i (arrival slot a_i) is served at position 2*i; its wait is
-    max(0, 2*i - a_i) slots, each worth `slot_seconds`. Arrivals must be
+    max(0, 2*i - a_i) slots, each worth QUEUE_SLOT_S seconds. Arrivals must be
     strictly increasing, so a vehicle already past its service position
     (a_i > 2*i) waits nothing.
     """
@@ -83,17 +80,15 @@ def arranged_wait(arrivals: list[int], take_first: int = 60, slot_seconds: float
     _require(arrivals[0] >= 0, f"arrival slots must be >= 0, got {arrivals[0]}")
     _require(0 < take_first <= len(arrivals),
              f"take_first must be in 1..{len(arrivals)}, got {take_first}")
-    _require(slot_seconds > 0.0, f"slot_seconds must be > 0, got {slot_seconds}")
 
     taken = arrivals[:take_first]
     arranged = [2 * i for i in range(len(taken))]
-    waits = [max(0, pos - arr) * slot_seconds for pos, arr in zip(arranged, taken)]
+    waits = [max(0, pos - arr) * QUEUE_SLOT_S for pos, arr in zip(arranged, taken)]
     return QueueResult(
         arrivals=list(arrivals),
         arranged_positions=arranged,
         per_vehicle_wait_s=waits,
         avg_wait_s=sum(waits) / len(waits),
-        slot_seconds=slot_seconds,
         taken=len(taken),
     )
 

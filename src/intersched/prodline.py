@@ -2,10 +2,13 @@
 
 Lanes come in two pairs on opposite gate phases: A1/A2 open on even seconds,
 B1/B2 on odd ones. An arriving vehicle is admitted only when its speed sits
-inside the lane's band and its lane is open that second; admission locks the
-vehicle to the band's average speed, so every vehicle crosses the 60 fixed
-containers in the same constant time and same-lane collisions are impossible
-by construction. A small online classifier predicts right turns at admission.
+inside the lane's band and its lane is open on its arrival second; admission
+locks the vehicle to the band's average speed, so every vehicle crosses the
+60 fixed containers in the same constant time and same-lane collisions are
+impossible by construction. The whole schedule therefore follows from each
+vehicle's arrival second and lane, and a run is one ordered pass over the
+scheduled vehicles. A small online classifier predicts right turns at
+admission.
 """
 
 from __future__ import annotations
@@ -56,6 +59,23 @@ class LaneConfig:
         _require(0 < self.min_speed <= self.max_speed, f"bad speed band [{self.min_speed}, {self.max_speed}]")
         _require(self.num_spots > 0, f"num_spots must be > 0, got {self.num_spots}")
         _require(self.spot_length_ft > 0, f"spot_length_ft must be > 0, got {self.spot_length_ft}")
+        stay = self.staying_time
+        _require(0 < stay < math.inf, f"lane {self.id.value}: staying time must be positive and finite, got {stay!r} s")
+
+    @property
+    def average_speed(self) -> SpeedMph:
+        """Midpoint of the admission band; assigned to every admitted vehicle."""
+        return (self.min_speed + self.max_speed) / 2.0
+
+    @property
+    def staying_time(self) -> float:
+        """Seconds an admitted vehicle spends traversing the lane's containers.
+
+        The divisor is the mph->fps conversion rounded to 5 decimals
+        (62.5 mph -> 91.66667), the documented rate constant the reference
+        exit times are built on.
+        """
+        return self.num_spots * self.spot_length_ft / round(mph_to_fps(self.average_speed), 5)
 
     @property
     def phase_parity(self) -> int:
@@ -117,58 +137,23 @@ class ScheduleRecord:
     waiting_s: float = 0.0
 
 
-@dataclass(frozen=True)
-class CapacityWindow:
-    processing_times_s: tuple[float, ...]
-    window_s: float
-
-    def __post_init__(self) -> None:
-        _require(all(t > 0 for t in self.processing_times_s), "processing times must all be > 0")
-        _require(self.window_s > 0, f"window_s must be > 0, got {self.window_s}")
-
-
-@dataclass(frozen=True)
-class Feasibility:
-    feasible: bool
-    overflow_s: float = 0.0
-
-
-def average_speed(min_speed: SpeedMph, max_speed: SpeedMph) -> SpeedMph:
-    """Midpoint of the admission band; assigned to every admitted vehicle."""
-    _require(0 < min_speed, f"min_speed must be > 0, got {min_speed}")
-    _require(min_speed <= max_speed, f"min_speed {min_speed} > max_speed {max_speed}")
-    return (min_speed + max_speed) / 2.0
-
-
-def staying_time(num_spots: int, spot_length_ft: float, avg_speed: SpeedMph) -> float:
-    """Seconds a vehicle spends traversing the lane's containers.
-
-    The divisor is the mph->fps conversion rounded to 5 decimals
-    (62.5 mph -> 91.66667), the documented rate constant the reference exit
-    times are built on.
-    """
-    _require(num_spots > 0, f"num_spots must be > 0, got {num_spots}")
-    _require(spot_length_ft > 0, f"spot_length_ft must be > 0, got {spot_length_ft}")
-    return num_spots * spot_length_ft / round(mph_to_fps(avg_speed), 5)
-
-
-def gate_open(lane: LaneConfig, t: int) -> bool:
+def gate_open(lane: LaneConfig, t: float) -> bool:
     _require(t >= 0, f"t must be >= 0, got {t}")
     return t % 2 == lane.phase_parity
 
 
-def admit(v: Vehicle, lane: LaneConfig, t: int) -> Decision:
-    """Speed band first, then gate phase and arrival match; admission locks
-    the vehicle to the band average."""
+def admit(v: Vehicle, lane: LaneConfig) -> Decision:
+    """Speed band first, then the gate at the vehicle's arrival second;
+    admission locks the vehicle to the band average."""
     if v.state is not VehicleState.PENDING:
         raise InvalidStateError(f"vehicle {v.id} is {v.state.value}, not pending")
     if not (lane.min_speed <= v.speed_mph <= lane.max_speed):
         v.mark_rejected()
         return Decision(admitted=False, reason=RejectReason.SPEED_OUT_OF_BAND)
-    if not (gate_open(lane, t) and v.arrival_s == t):
+    if not gate_open(lane, v.arrival_s):
         v.mark_rejected()
         return Decision(admitted=False, reason=RejectReason.GATE_CLOSED)
-    assigned = average_speed(lane.min_speed, lane.max_speed)
+    assigned = lane.average_speed
     v.mark_entered(assigned)
     return Decision(admitted=True, assigned_speed=assigned)
 
@@ -178,22 +163,6 @@ def exit_second(record: ScheduleRecord) -> int:
     if not record.admitted or record.exit_s is None:
         raise InvalidStateError(f"vehicle {record.vehicle_id} was not admitted")
     return math.ceil(record.exit_s)
-
-
-def transition_speed(departure_speed: SpeedMph, target_entry: SpeedMph) -> SpeedMph:
-    """Set-point for the stretch between intersections; the vehicle leaves the
-    transition area at the downstream target."""
-    _require(departure_speed > 0, f"departure_speed must be > 0, got {departure_speed}")
-    _require(target_entry > 0, f"target_entry must be > 0, got {target_entry}")
-    return departure_speed + (target_entry - departure_speed)
-
-
-def check_window_feasibility(w: CapacityWindow) -> Feasibility:
-    """Whether the summed per-vehicle crossing times fit inside the window."""
-    total = sum(w.processing_times_s)
-    if total > w.window_s:
-        return Feasibility(feasible=False, overflow_s=total - w.window_s)
-    return Feasibility(feasible=True)
 
 
 @dataclass
@@ -301,12 +270,14 @@ def run_prodline(
     rng: SeededRng | None = None,
     pattern: PatternKind | None = None,
 ) -> tuple[list[ScheduleRecord], RunReport]:
-    """Tick the intersection for one window and record every vehicle.
+    """Admit every scheduled vehicle in one pass and record it.
 
-    Each second processes exits first, then admission attempts, lanes always
-    in the order A1, A2, B1, B2. An admitted vehicle gets a turn prediction
-    before entering: primary lanes consult their group's classifier, paired
-    lanes reuse the sibling's same-second prediction when there is one.
+    Vehicles are taken by arrival second, and within a second by lane in the
+    order A1, A2, B1, B2; the schedule holds at most one vehicle per
+    lane-second, so that order is total. An admitted vehicle gets a turn
+    prediction before entering: primary lanes consult their group's
+    classifier, paired lanes reuse the sibling's same-second prediction when
+    there is one.
     """
     _validate_schedule(cfg, arrivals)
     if predictor is None:
@@ -314,63 +285,41 @@ def run_prodline(
     if rng is None:
         rng = SeededRng(0)
 
-    by_lane_second: dict[LaneId, dict[int, Vehicle]] = {
-        lane_id: {int(v.arrival_s): v for v in arrivals.get(lane_id, ())} for lane_id in LaneId
-    }
-    stay_by_lane = {
-        lane.id: staying_time(lane.num_spots, lane.spot_length_ft, average_speed(lane.min_speed, lane.max_speed))
-        for lane in cfg.lanes_in_order
-    }
+    visits = sorted(
+        (
+            (int(v.arrival_s), order, lane, v)
+            for order, lane in enumerate(cfg.lanes_in_order)
+            for v in arrivals.get(lane.id, ())
+        ),
+        key=lambda visit: visit[:2],
+    )
 
     records: list[ScheduleRecord] = []
-    pending_exits: dict[int, list[Vehicle]] = {}
     turn_by_lane_second: dict[tuple[LaneId, int], TurnLabel] = {}
-
-    for t in range(cfg.run_seconds):
-        for v in pending_exits.pop(t, []):
-            v.mark_exited()
-            logger.info("Vehicle %d has exited the intersection from lane [%s]", v.id, v.lane.value)
-
-        for lane in cfg.lanes_in_order:
-            v = by_lane_second[lane.id].get(t)
-            if v is None:
-                continue
-            decision = admit(v, lane, t)
-            if not decision.admitted:
-                records.append(
-                    ScheduleRecord(
-                        vehicle_id=v.id, lane=lane.id, arrive_s=float(t), right_turn=None,
-                        assigned_speed=None, exit_s=None, admitted=False, waiting_s=v.waiting_s,
-                    )
-                )
-                continue
-
-            label: TurnLabel | None = None
+    for t, _, lane, v in visits:
+        decision = admit(v, lane)
+        label: TurnLabel | None = None
+        if decision.admitted:
             if v.features is not None:
                 label = turn_by_lane_second.get((lane.id.sibling, t)) if not lane.id.is_primary else None
                 if label is None:
                     label = predictor.predict_and_record(v.features, lane.id.group, rng)
                 turn_by_lane_second[(lane.id, t)] = label
-            v.predicted_turn = label
-
-            exit_s = t + stay_by_lane[lane.id]
-            record = ScheduleRecord(
-                vehicle_id=v.id, lane=lane.id, arrive_s=float(t),
-                right_turn=None if label is None else label is TurnLabel.RIGHT_TURN,
-                assigned_speed=decision.assigned_speed, exit_s=exit_s, admitted=True,
-                waiting_s=v.waiting_s,
-            )
-            records.append(record)
             logger.info(
                 "Vehicle %d has entered the intersection through lane [%s] with speed of %s",
                 v.id, lane.id.value, decision.assigned_speed,
             )
-            leave = exit_second(record)
-            if leave < cfg.run_seconds:
-                pending_exits.setdefault(leave, []).append(v)
+        records.append(
+            ScheduleRecord(
+                vehicle_id=v.id, lane=lane.id, arrive_s=float(t),
+                right_turn=None if label is None else label is TurnLabel.RIGHT_TURN,
+                assigned_speed=decision.assigned_speed,
+                exit_s=t + lane.staying_time if decision.admitted else None,
+                admitted=decision.admitted, waiting_s=v.waiting_s,
+            )
+        )
 
-    report = summarize(records, pattern=pattern, seed=rng.seed)
-    return records, report
+    return records, summarize(records, pattern=pattern, seed=rng.seed)
 
 
 def verify_no_collisions(records: Sequence[ScheduleRecord], cfg: IntersectionConfig) -> int:

@@ -105,17 +105,6 @@ class ComparisonTable:
     def __post_init__(self) -> None:
         self.rows.sort(key=lambda r: (r.model.value, r.n_vehicles, r.pattern.value if r.pattern else ""))
 
-    def waiting_reduction_by_n(self) -> dict[int, float]:
-        """Waiting cut by the slot scheduler vs the grid model, per fleet size
-        present in both; 100% means the scheduler eliminated all waiting."""
-        base = {r.n_vehicles: r.avg_waiting_s for r in self.rows if r.model is Model.BASELINE}
-        prod = {r.n_vehicles: r.avg_waiting_s for r in self.rows if r.model is Model.PRODLINE}
-        out: dict[int, float] = {}
-        for n in sorted(base.keys() & prod.keys()):
-            if base[n] > 0:
-                out[n] = (base[n] - prod[n]) / base[n] * 100.0
-        return out
-
 
 def _cell(value) -> str:
     if value is None:

@@ -25,10 +25,8 @@ from intersched.flows import (
 )
 from intersched.prodline import (
     IntersectionConfig,
-    average_speed,
     build_demand,
     run_prodline,
-    transition_speed,
     verify_no_collisions,
 )
 from intersched.turns import (
@@ -264,8 +262,7 @@ def test_arranged_queue_matches_positional_rule():
 
 def test_formula_spot_checks():
     assert abs(mph_to_fps(62.5) - 91.66667) <= 5e-6
-    assert average_speed(60.0, 65.0) == 62.5
-    assert transition_speed(65.0, 102.5) == 102.5
+    assert IntersectionConfig.default().lane(LaneId.A1).average_speed == 62.5
     assert waiting_pct(60) == 100.0
 
     from intersched.baseline import time_to_arrive

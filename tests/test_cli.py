@@ -4,9 +4,12 @@ import csv
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from intersched.cli import DEFAULT_SEED, build_parser, load_config, main, reproduce_all
-from intersched.core import LaneId
+from intersched.core import LaneId, SeededRng
+from intersched.flows import PatternKind
+from intersched.prodline import build_demand, run_prodline, verify_no_collisions
 
 
 def run_cli(capsys, *argv):
@@ -125,6 +128,53 @@ class TestProdlineCommand:
             )
             assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "lane",
+        [
+            "spot_length_ft = inf",
+            # finite, but the 100-spot crossing time overflows to inf
+            "spot_length_ft = 1e308\nnum_spots = 100",
+        ],
+    )
+    def test_staying_time_must_be_finite(self, capsys, tmp_path, lane):
+        ini = tmp_path / "lane.ini"
+        ini.write_text(f"[lane.A1]\n{lane}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "prodline", "--config", str(ini), "--out-dir", str(tmp_path))
+        assert (code, out, err) == (1, "", "error: lane A1: staying time must be positive and finite, got inf s\n")
+
+
+# Exotic INI values for the property test: non-finite, huge and degenerate
+# settings a hand-written file may hold. Every lane section holds ordinary
+# values, and one lane has up to two of them swapped for these.
+_EXOTIC = {
+    "min_speed": ["0", "-5", "0.5", "60.5", "inf", "nan", "1e20", "1e300", "1e308"],
+    "max_speed": ["0", "0.5", "60.9", "inf", "-inf", "1e20", "1e300", "1e308"],
+    "num_spots": ["0", "-3", "10000000000"],
+    "spot_length_ft": ["0", "-1", "inf", "nan", "5e-324", "1e-300", "1e300", "1e308"],
+}
+
+
+@st.composite
+def _ini_texts(draw):
+    lines = [f"[intersection]\nrun_seconds = {draw(st.integers(1, 240))}"]
+    odd_lane = draw(st.sampled_from(LaneId))
+    for lane_id in LaneId:
+        if lane_id is not odd_lane and not draw(st.booleans()):
+            continue  # the lane keeps its defaults
+        low = draw(st.integers(1, 120))
+        values = {
+            "min_speed": str(low),
+            "max_speed": str(low + draw(st.integers(0, 10))),
+            "num_spots": str(draw(st.integers(1, 200))),
+            "spot_length_ft": repr(draw(st.floats(0.001, 100.0))),
+        }
+        if lane_id is odd_lane:
+            for key in draw(st.lists(st.sampled_from(sorted(_EXOTIC)), unique=True, max_size=2)):
+                values[key] = draw(st.sampled_from(_EXOTIC[key]))
+        lines.append(f"[lane.{lane_id.value}]")
+        lines += [f"{key} = {value}" for key, value in values.items()]
+    return "\n".join(lines) + "\n"
+
 
 class TestConfigFile:
     def test_overrides(self, tmp_path):
@@ -168,6 +218,24 @@ class TestConfigFile:
         ini.write_text(f"[intersection]\n{key} = 70\n", encoding="utf-8")
         with pytest.raises(ValueError, match=rf"\[intersection\] has unknown keys: \['{key}'\]"):
             load_config(ini)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(_ini_texts(), st.integers(0, 2**64 - 1))
+    # crossing times that used to be accepted as inf
+    @example("[lane.A1]\nspot_length_ft = inf\n", 42)
+    @example("[lane.A1]\nspot_length_ft = 1e308\nnum_spots = 100\n", 42)
+    def test_every_accepted_config_runs(self, tmp_path_factory, text, seed):
+        ini = tmp_path_factory.mktemp("ini") / "lanes.ini"
+        ini.write_text(text, encoding="utf-8")
+        try:
+            cfg = load_config(ini)
+        except ValueError:
+            return  # rejected configs end in one error line; see the prodline tests
+        for kind in PatternKind:
+            rng = SeededRng(seed)
+            demand = build_demand(cfg, kind, rng)
+            records, _ = run_prodline(cfg, {lane_id: d.scheduled for lane_id, d in demand.items()}, rng=rng)
+            assert verify_no_collisions(records, cfg) == 0
 
 
 class TestFlowCommand:

@@ -148,17 +148,11 @@ class TestVehicle:
         v.mark_entered(62.5)
         assert v.state is VehicleState.ENTERED
         assert v.speed_mph == 62.5
-        v.mark_exited()
-        assert v.state is VehicleState.EXITED
 
     def test_rejection_path(self):
         v = self._pending()
         v.mark_rejected()
         assert v.state is VehicleState.REJECTED
-
-    def test_cannot_exit_before_entering(self):
-        with pytest.raises(InvalidStateError):
-            self._pending().mark_exited()
 
     def test_cannot_reject_after_entering(self):
         v = self._pending()

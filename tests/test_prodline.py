@@ -1,33 +1,31 @@
 """Slot scheduler: gates, admission, staying time, demand packing, collisions."""
 
+import copy
 import logging
 import math
 import random
 
 import pytest
 
-from intersched.core import InvalidStateError, LaneId, SeededRng, Vehicle, VehicleState
+from intersched.core import InvalidStateError, LaneId, SeededRng, Vehicle, VehicleState, mph_to_fps
 from intersched.flows import PatternKind
 from intersched.prodline import (
     NUM_SPOTS,
     RUN_SECONDS,
     SPOT_LENGTH_FT,
-    CapacityWindow,
     IntersectionConfig,
     LaneConfig,
     RejectReason,
     ScheduleRecord,
     admit,
-    average_speed,
     build_demand,
-    check_window_feasibility,
     exit_second,
     gate_open,
     run_prodline,
-    staying_time,
-    transition_speed,
     verify_no_collisions,
 )
+from intersched.report import summarize
+from intersched.turns import TurnLabel, TurnPredictor, seed_instances
 
 CFG = IntersectionConfig.default()
 STAY = 17.179657557103365  # 60 spots at the assigned 62.5 mph
@@ -39,37 +37,51 @@ def _vehicle(vid=1, lane=LaneId.A1, speed=63.0, arrival=0.0):
 
 class TestSpeeds:
     def test_average_speed_of_band(self):
-        assert average_speed(60.0, 65.0) == 62.5
+        assert LaneConfig(LaneId.A1).average_speed == 62.5
+        assert LaneConfig(LaneId.B2, min_speed=61, max_speed=64).average_speed == 62.5
 
     def test_average_speed_validation(self):
-        with pytest.raises(ValueError):
-            average_speed(65.0, 60.0)
-        with pytest.raises(ValueError):
-            average_speed(0.0, 60.0)
-
-    def test_transition_hits_downstream_target(self):
-        assert transition_speed(65.0, 102.5) == 102.5
-        assert transition_speed(62.5, 62.5) == 62.5
+        with pytest.raises(ValueError, match="bad speed band"):
+            LaneConfig(LaneId.A1, min_speed=65.0, max_speed=60.0)
+        with pytest.raises(ValueError, match="bad speed band"):
+            LaneConfig(LaneId.A1, min_speed=0.0, max_speed=60.0)
 
 
 class TestStayingTime:
     def test_full_line(self):
-        assert staying_time(60, SPOT_LENGTH_FT, 62.5) == pytest.approx(STAY, abs=1e-9)
+        assert LaneConfig(LaneId.A1).staying_time == pytest.approx(STAY, abs=1e-9)
 
     def test_half_line(self):
-        assert staying_time(30, SPOT_LENGTH_FT, 62.5) == pytest.approx(
+        assert LaneConfig(LaneId.A1, num_spots=30).staying_time == pytest.approx(
             8.589828778551683, abs=1e-9
         )
 
     def test_single_spot_round_trip(self):
         # spot length equal to one second of travel at the rounded rate
-        assert staying_time(1, 91.66667, 62.5) == 1.0
+        assert LaneConfig(LaneId.A1, num_spots=1, spot_length_ft=91.66667).staying_time == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            staying_time(0, SPOT_LENGTH_FT, 62.5)
+            LaneConfig(LaneId.A1, num_spots=0)
         with pytest.raises(ValueError):
-            staying_time(60, -1.0, 62.5)
+            LaneConfig(LaneId.A1, spot_length_ft=-1.0)
+
+    @pytest.mark.parametrize(
+        "lane, stay",
+        [
+            (dict(spot_length_ft=math.inf), "inf"),
+            (dict(spot_length_ft=1e308, num_spots=100), "inf"),
+            # the product underflows to zero: nobody would ever occupy the lane
+            (dict(spot_length_ft=5e-324, num_spots=1), "0.0"),
+        ],
+    )
+    def test_staying_time_must_be_positive_and_finite(self, lane, stay):
+        with pytest.raises(ValueError, match=f"lane A1: staying time must be positive and finite, got {stay} s"):
+            LaneConfig(LaneId.A1, **lane)
+
+    def test_huge_finite_staying_time_is_accepted(self):
+        lane = LaneConfig(LaneId.A1, spot_length_ft=1e300)
+        assert math.isfinite(lane.staying_time) and lane.staying_time > 1e299
 
 
 class TestGate:
@@ -87,7 +99,7 @@ class TestGate:
 class TestAdmit:
     def test_admission_assigns_average_speed(self):
         v = _vehicle(speed=64.0)
-        decision = admit(v, CFG.lane(LaneId.A1), t=0)
+        decision = admit(v, CFG.lane(LaneId.A1))
         assert decision.admitted
         assert decision.assigned_speed == 62.5
         assert v.state is VehicleState.ENTERED
@@ -96,36 +108,40 @@ class TestAdmit:
     @pytest.mark.parametrize("speed", [59.9, 65.1, 30.0])
     def test_speed_out_of_band(self, speed):
         v = _vehicle(speed=speed)
-        decision = admit(v, CFG.lane(LaneId.A1), t=0)
+        decision = admit(v, CFG.lane(LaneId.A1))
         assert not decision.admitted
         assert decision.reason is RejectReason.SPEED_OUT_OF_BAND
         assert v.state is VehicleState.REJECTED
 
     def test_band_edges_admit(self):
-        assert admit(_vehicle(speed=60.0), CFG.lane(LaneId.A1), t=0).admitted
-        assert admit(_vehicle(vid=2, speed=65.0), CFG.lane(LaneId.A2), t=0).admitted
+        assert admit(_vehicle(speed=60.0), CFG.lane(LaneId.A1)).admitted
+        assert admit(_vehicle(vid=2, speed=65.0), CFG.lane(LaneId.A2)).admitted
 
     def test_speed_checked_before_the_gate(self):
         # wrong phase AND bad speed: the speed reason wins
         v = _vehicle(speed=59.0, arrival=1.0)
-        decision = admit(v, CFG.lane(LaneId.A1), t=1)
+        decision = admit(v, CFG.lane(LaneId.A1))
         assert decision.reason is RejectReason.SPEED_OUT_OF_BAND
 
     def test_closed_gate_rejects(self):
         v = _vehicle(arrival=1.0)
-        decision = admit(v, CFG.lane(LaneId.A1), t=1)
+        decision = admit(v, CFG.lane(LaneId.A1))
         assert decision.reason is RejectReason.GATE_CLOSED
 
-    def test_wrong_second_rejects(self):
-        v = _vehicle(arrival=4.0)
-        decision = admit(v, CFG.lane(LaneId.A1), t=2)
-        assert decision.reason is RejectReason.GATE_CLOSED
+    @pytest.mark.parametrize(
+        "lane, arrival, admitted",
+        [(LaneId.A1, 4.0, True), (LaneId.A2, 3.0, False), (LaneId.B1, 3.0, True), (LaneId.B2, 4.0, False)],
+    )
+    def test_gate_is_read_at_the_arrival_second(self, lane, arrival, admitted):
+        decision = admit(_vehicle(lane=lane, arrival=arrival), CFG.lane(lane))
+        assert decision.admitted is admitted
+        assert decision.reason is (None if admitted else RejectReason.GATE_CLOSED)
 
     def test_rejected_vehicle_cannot_be_readmitted(self):
         v = _vehicle(speed=59.0)
-        admit(v, CFG.lane(LaneId.A1), t=0)
+        admit(v, CFG.lane(LaneId.A1))
         with pytest.raises(InvalidStateError):
-            admit(v, CFG.lane(LaneId.A1), t=0)
+            admit(v, CFG.lane(LaneId.A1))
 
 
 class TestExitSecond:
@@ -149,27 +165,6 @@ class TestExitSecond:
         )
         with pytest.raises(InvalidStateError):
             exit_second(bad)
-
-
-class TestFeasibility:
-    def test_fits(self):
-        assert check_window_feasibility(CapacityWindow((1.0, 1.0, 1.0), 3.0)).feasible
-
-    def test_overflows(self):
-        result = check_window_feasibility(CapacityWindow((2.0, 2.0), 3.0))
-        assert not result.feasible
-        assert result.overflow_s == pytest.approx(1.0)
-
-    def test_line_of_spots_fits_its_crossing_window(self):
-        per_spot = SPOT_LENGTH_FT / 91.66667
-        window = CapacityWindow((per_spot,) * NUM_SPOTS, 17.1797)
-        assert check_window_feasibility(window).feasible
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CapacityWindow((0.0,), 3.0)
-        with pytest.raises(ValueError):
-            CapacityWindow((1.0,), 0.0)
 
 
 class TestIntersectionConfig:
@@ -347,6 +342,131 @@ class TestRunProdline:
             in message
             for message in caplog.messages
         )
+
+
+def _oracle_run_prodline(cfg, arrivals, predictor, rng):
+    """Reference runner: the per-second clock the ordered pass replaced.
+
+    Every second of the window visits the lanes in the order A1, A2, B1, B2
+    and applies the admission rule written out here: speed band first, then
+    an open gate on exactly that second. The staying time is recomputed from
+    the lane's fields with the same float expression.
+    """
+    by_lane_second = {
+        lane_id: {int(v.arrival_s): v for v in arrivals.get(lane_id, ())} for lane_id in LaneId
+    }
+    records = []
+    turn_by_lane_second = {}
+    for t in range(cfg.run_seconds):
+        for lane in cfg.lanes_in_order:
+            v = by_lane_second[lane.id].get(t)
+            if v is None:
+                continue
+            in_band = lane.min_speed <= v.speed_mph <= lane.max_speed
+            if not (in_band and t % 2 == lane.phase_parity and v.arrival_s == t):
+                v.mark_rejected()
+                records.append(
+                    ScheduleRecord(
+                        vehicle_id=v.id, lane=lane.id, arrive_s=float(t), right_turn=None,
+                        assigned_speed=None, exit_s=None, admitted=False, waiting_s=v.waiting_s,
+                    )
+                )
+                continue
+            assigned = (lane.min_speed + lane.max_speed) / 2.0
+            v.mark_entered(assigned)
+
+            label = None
+            if v.features is not None:
+                label = turn_by_lane_second.get((lane.id.sibling, t)) if not lane.id.is_primary else None
+                if label is None:
+                    label = predictor.predict_and_record(v.features, lane.id.group, rng)
+                turn_by_lane_second[(lane.id, t)] = label
+
+            stay = lane.num_spots * lane.spot_length_ft / round(mph_to_fps(assigned), 5)
+            records.append(
+                ScheduleRecord(
+                    vehicle_id=v.id, lane=lane.id, arrive_s=float(t),
+                    right_turn=None if label is None else label is TurnLabel.RIGHT_TURN,
+                    assigned_speed=assigned, exit_s=t + stay, admitted=True, waiting_s=v.waiting_s,
+                )
+            )
+    return records, summarize(records, seed=rng.seed)
+
+
+def _random_config(rng):
+    lanes = []
+    for lane_id in LaneId:
+        low = rng.randrange(40, 70)
+        lanes.append(
+            LaneConfig(
+                lane_id, min_speed=low, max_speed=low + rng.randrange(8),
+                num_spots=rng.randrange(1, 80), spot_length_ft=rng.uniform(0.5, 40.0),
+            )
+        )
+    rng.shuffle(lanes)  # lanes_in_order, not the tuple order, decides the visit order
+    return IntersectionConfig(lanes=tuple(lanes), run_seconds=rng.randrange(1, 50))
+
+
+def _random_schedule(rng, cfg):
+    """Vehicles on some lanes: missing and empty lanes, off-phase seconds,
+    out-of-band and fractional speeds, and vehicles without features."""
+    arrivals = {}
+    vid = 0
+    for lane in cfg.lanes_in_order:
+        shape = rng.random()
+        if shape < 0.15:
+            continue  # lane missing from the mapping
+        if shape < 0.25:
+            arrivals[lane.id] = []
+            continue
+        seconds = [t for t in range(cfg.run_seconds) if rng.random() < 0.6]
+        vehicles = []
+        for t in seconds:
+            vid += 1
+            speed = float(rng.randrange(int(lane.min_speed) - 3, int(lane.max_speed) + 4))
+            if rng.random() < 0.1:
+                speed += rng.random()
+            features = None if rng.random() < 0.2 else (rng.randint(1, 5), rng.randint(0, 23), rng.randint(0, 1))
+            vehicles.append(
+                Vehicle(
+                    id=vid, lane=lane.id, speed_mph=speed, arrival_s=float(t),
+                    features=features, waiting_s=float(rng.randrange(4)),
+                )
+            )
+        rng.shuffle(vehicles)  # the runner must not rely on the list order
+        arrivals[lane.id] = vehicles
+    return arrivals
+
+
+class TestOrderedPassMatchesTheClock:
+    def test_random_schedules(self):
+        rng = random.Random(20180517)
+        admitted = rejected = predictions = 0
+        for case in range(300):
+            cfg = _random_config(rng)
+            arrivals = _random_schedule(rng, cfg)
+            oracle_arrivals = copy.deepcopy(arrivals)
+            seed = rng.randrange(2**32)
+
+            predictor, run_rng = TurnPredictor(), SeededRng(seed)
+            records, report = run_prodline(cfg, arrivals, predictor, run_rng)
+            oracle_predictor, oracle_rng = TurnPredictor(), SeededRng(seed)
+            expected, expected_report = _oracle_run_prodline(cfg, oracle_arrivals, oracle_predictor, oracle_rng)
+
+            assert records == expected, case
+            assert report == expected_report, case
+            for group in ("A", "B"):
+                assert predictor.stores[group].instances == oracle_predictor.stores[group].instances, case
+            assert run_rng.rand_int(0, 2**62) == oracle_rng.rand_int(0, 2**62), case
+            for lane_id in arrivals:
+                got = [(v.id, v.state, v.speed_mph) for v in arrivals[lane_id]]
+                want = [(v.id, v.state, v.speed_mph) for v in oracle_arrivals[lane_id]]
+                assert got == want, case
+            admitted += report.admitted
+            rejected += report.rejected
+            predictions += sum(len(store) - len(seed_instances()) for store in predictor.stores.values())
+        # the cases exercise both outcomes and the classifier
+        assert admitted > 1000 and rejected > 1000 and predictions > 1000
 
 
 def _collisions_by_rescan(records, cfg):

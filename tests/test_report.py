@@ -109,17 +109,6 @@ class TestComparisonTable:
             (Model.BASELINE, 50), (Model.BASELINE, 200), (Model.PRODLINE, 1),
         ]
 
-    def test_waiting_reduction(self):
-        table = ComparisonTable([
-            summarize(_baseline_report(n=2, waiting=80.0)),
-            summarize([_rec(1, waiting=20.0), _rec(2, waiting=20.0)]),
-        ])
-        assert table.waiting_reduction_by_n() == {2: pytest.approx(75.0)}
-
-    def test_reduction_skips_sizes_without_both_models(self):
-        table = ComparisonTable([summarize(_baseline_report(n=50))])
-        assert table.waiting_reduction_by_n() == {}
-
 
 class TestEmitters:
     def test_csv_layout_and_precision(self, tmp_path):
