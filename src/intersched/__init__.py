@@ -23,17 +23,14 @@ from .baseline import (
     time_to_arrive,
 )
 from .core import (
-    InvalidStateError,
     LaneId,
     SeededRng,
     Vehicle,
-    VehicleState,
     mph_to_fps,
     mph_to_fps_truncated,
 )
 from .flows import (
     PatternKind,
-    PatternSpec,
     QueueResult,
     arranged_wait,
     extra_space_pct,
@@ -53,7 +50,7 @@ from .prodline import (
     run_prodline,
     verify_no_collisions,
 )
-from .report import ComparisonTable, Model, RunReport, emit_csv, emit_json, emit_schedule_csv, summarize
+from .report import Model, RunReport, emit_csv, emit_json, emit_schedule_csv, summarize
 from .turns import (
     InstanceStore,
     KnnInstance,

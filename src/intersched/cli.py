@@ -23,22 +23,20 @@ from .core import LaneId, SeededRng
 from .flows import (
     LANE_CAPACITY,
     PatternKind,
-    PatternSpec,
     arranged_wait,
     extra_space_pct,
     generate_arrivals,
     waiting_pct,
 )
 from .prodline import (
+    RUN_SECONDS,
     IntersectionConfig,
     LaneConfig,
     ScheduleRecord,
-    _open_seconds,
     build_demand,
     run_prodline,
 )
 from .report import (
-    ComparisonTable,
     emit_csv,
     emit_json,
     emit_schedule_csv,
@@ -63,6 +61,10 @@ model constants:
 BASELINE_COLUMNS = ("n_vehicles", "collisions_per_vehicle", "avg_waiting_s")
 BASELINE_SWEEP_NS = (50, 100, 150, 200, 250, 300)
 BASELINE_SWEEP_RUNS = 100
+# the arranged-queue experiment: random-pattern slots drawn, and vehicles
+# measured from the front of the queue
+QUEUE_SLOTS = 720
+QUEUE_TAKE = 60
 
 
 def _default_out_dir() -> Path:
@@ -144,7 +146,7 @@ def _prodline_artifacts(kind: PatternKind, seed: int, cfg: IntersectionConfig, r
                 )
             )
     total_requests = sum(d.requests for d in demand.values())
-    total_slots = sum(len(_open_seconds(lane, cfg.run_seconds)) for lane in cfg.lanes)
+    total_slots = sum(len(cfg.open_seconds(lane)) for lane in cfg.lanes)
     extra = extra_space_pct(kind, n_requests=total_requests, capacity=total_slots)
     report = summarize(records, pattern=kind, extra_space_pct=extra, seed=seed)
     return records, report, predictor
@@ -166,8 +168,13 @@ def _cmd_prodline(args: argparse.Namespace) -> int:
 
 def _cmd_flow(args: argparse.Namespace) -> int:
     kind = PatternKind(args.pattern)
-    spec = PatternSpec(kind, horizon_slots=args.slots, take_first=args.take)
-    arrivals = generate_arrivals(spec, SeededRng(args.seed))
+    if args.slots <= 0:
+        raise ValueError(f"horizon_slots must be > 0, got {args.slots}")
+    if not 0 < args.take <= args.slots:
+        raise ValueError(f"take_first must be in 1..{args.slots}, got {args.take}")
+    # --slots is the random pattern's horizon; average and worst fill one window
+    horizon = args.slots if kind is PatternKind.RANDOM else RUN_SECONDS
+    arrivals = generate_arrivals(kind, horizon, SeededRng(args.seed))
 
     payload: dict = {"pattern": kind.value, "seed": args.seed, "arrivals": arrivals}
     if kind is PatternKind.WORST:
@@ -249,9 +256,8 @@ def reproduce_all(seed: int, out_dir: Path) -> list[Path]:
         grid_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         written.append(grid_path)
 
-    queue_spec = PatternSpec(PatternKind.RANDOM)
-    arrivals = generate_arrivals(queue_spec, master.spawn(20))
-    queue = arranged_wait(arrivals, queue_spec.take_first)
+    arrivals = generate_arrivals(PatternKind.RANDOM, QUEUE_SLOTS, master.spawn(20))
+    queue = arranged_wait(arrivals, QUEUE_TAKE)
     written.append(
         emit_json(
             {
@@ -266,7 +272,7 @@ def reproduce_all(seed: int, out_dir: Path) -> list[Path]:
         )
     )
 
-    written.append(emit_csv(ComparisonTable(reports), out_dir / "comparison.csv"))
+    written.append(emit_csv(reports, out_dir / "comparison.csv"))
     return written
 
 
@@ -306,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flow", help="demand patterns and the arranged queue")
     p.add_argument("--pattern", choices=[k.value for k in PatternKind], required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--slots", type=int, default=720, help="random-pattern horizon in slots")
-    p.add_argument("--take", type=int, default=60, help="vehicles measured from the front of the queue")
+    p.add_argument("--slots", type=int, default=QUEUE_SLOTS, help="random-pattern horizon in slots")
+    p.add_argument("--take", type=int, default=QUEUE_TAKE, help="vehicles measured from the front of the queue")
     p.add_argument("--out", type=Path, default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_flow)
 

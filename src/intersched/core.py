@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -18,10 +18,6 @@ SpeedFps = float
 
 FEET_PER_MILE = 5280.0
 SECONDS_PER_HOUR = 3600.0
-
-
-class InvalidStateError(RuntimeError):
-    """A lifecycle operation was applied to an object in the wrong state."""
 
 
 def _require(condition: bool, message: str) -> None:
@@ -110,12 +106,6 @@ class LaneId(Enum):
         return LaneId(pair[self.value])
 
 
-class VehicleState(Enum):
-    PENDING = "pending"
-    ENTERED = "entered"
-    REJECTED = "rejected"
-
-
 Features = tuple[int, int, int]
 
 
@@ -129,23 +119,22 @@ def validate_features(features: Features) -> None:
     _require(event in (0, 1), f"event must be 0 or 1, got {event}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Vehicle:
-    """One vehicle in the slot-scheduled model.
+    """One vehicle in the slot-scheduled model, fixed once built.
 
-    State moves once, PENDING -> ENTERED or PENDING -> REJECTED; anything
-    else raises InvalidStateError. `arrival_s` is the second the vehicle
-    presents at its lane's gate; `waiting_s` accumulates any delay between
-    wanting to enter and being scheduled.
+    `arrival_s` is the second the vehicle presents at its lane's gate;
+    `waiting_s` is the delay between wanting to enter and being scheduled.
+    Admission decides the vehicle's fate from these fields and changes none
+    of them, so one demand can be scheduled any number of times.
     """
 
     id: int
-    lane: LaneId | None
+    lane: LaneId
     speed_mph: SpeedMph
     arrival_s: float
-    state: VehicleState = VehicleState.PENDING
     features: Features | None = None
-    waiting_s: float = field(default=0.0)
+    waiting_s: float = 0.0
 
     def __post_init__(self) -> None:
         _require_positive_finite(self.speed_mph, "speed_mph")
@@ -153,16 +142,3 @@ class Vehicle:
         _require(self.waiting_s >= 0.0, f"waiting_s must be >= 0, got {self.waiting_s}")
         if self.features is not None:
             validate_features(self.features)
-
-    def _transition(self, allowed_from: VehicleState, to: VehicleState) -> None:
-        if self.state is not allowed_from:
-            raise InvalidStateError(f"vehicle {self.id}: cannot move {self.state.value} -> {to.value}")
-        self.state = to
-
-    def mark_entered(self, assigned_speed: SpeedMph) -> None:
-        _require_positive_finite(assigned_speed, "assigned_speed")
-        self._transition(VehicleState.PENDING, VehicleState.ENTERED)
-        self.speed_mph = assigned_speed
-
-    def mark_rejected(self) -> None:
-        self._transition(VehicleState.PENDING, VehicleState.REJECTED)

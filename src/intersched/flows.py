@@ -26,34 +26,24 @@ class PatternKind(Enum):
     RANDOM = "random"
 
 
-@dataclass(frozen=True)
-class PatternSpec:
-    kind: PatternKind
-    horizon_slots: int = 720
-    take_first: int = 60
+def generate_arrivals(kind: PatternKind, horizon: int, rng: SeededRng, parity: int = 0) -> list[int]:
+    """Arrival seconds (or slot indices) for one lane under a pattern,
+    within [0, horizon).
 
-    def __post_init__(self) -> None:
-        _require(self.horizon_slots > 0, f"horizon_slots must be > 0, got {self.horizon_slots}")
-        _require(0 < self.take_first <= self.horizon_slots,
-                 f"take_first must be in 1..{self.horizon_slots}, got {self.take_first}")
-
-
-def generate_arrivals(spec: PatternSpec, rng: SeededRng, parity: int = 0, horizon_s: int = 60) -> list[int]:
-    """Arrival seconds (or slot indices) for one lane under a pattern.
-
-    Average: one arrival at every open second of the window, so demand
-    exactly matches capacity. Worst: two arrivals per open second. Random:
-    each slot of `horizon_slots` holds an arrival when a fair coin, one
-    `rand_int(0, 1)` draw per slot, comes up 1; the result is a strictly
-    increasing slot list. The scheduler's random demand is this draw.
+    Average: one arrival at every open second (those of the given parity),
+    so demand exactly matches capacity. Worst: two arrivals per open second.
+    Random: each slot holds an arrival when a fair coin, one `rand_int(0, 1)`
+    draw per slot, comes up 1; the result is a strictly increasing slot list.
+    The scheduler's random demand is this draw. Only arrival times are
+    drawn here; the vehicles built on them are never changed by admission.
     """
     _require(parity in (0, 1), f"parity must be 0 or 1, got {parity}")
-    _require(horizon_s > 0, f"horizon_s must be > 0, got {horizon_s}")
-    if spec.kind is PatternKind.AVERAGE:
-        return list(range(parity, horizon_s, 2))
-    if spec.kind is PatternKind.WORST:
-        return [s for s in range(parity, horizon_s, 2) for _ in range(2)]
-    return [slot for slot in range(spec.horizon_slots) if rng.rand_int(0, 1) == 1]
+    _require(horizon > 0, f"horizon must be > 0, got {horizon}")
+    if kind is PatternKind.AVERAGE:
+        return list(range(parity, horizon, 2))
+    if kind is PatternKind.WORST:
+        return [s for s in range(parity, horizon, 2) for _ in range(2)]
+    return [slot for slot in range(horizon) if rng.rand_int(0, 1) == 1]
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,14 @@
 
 Lanes come in two pairs on opposite gate phases: A1/A2 open on even seconds,
 B1/B2 on odd ones. An arriving vehicle is admitted only when its speed sits
-inside the lane's band and its lane is open on its arrival second; admission
-locks the vehicle to the band's average speed, so every vehicle crosses the
-60 fixed containers in the same constant time and same-lane collisions are
-impossible by construction. The whole schedule therefore follows from each
-vehicle's arrival second and lane, and a run is one ordered pass over the
-scheduled vehicles. A small online classifier predicts right turns at
-admission.
+inside the lane's band and its lane is open on its arrival second; an
+admitted vehicle is assigned the band's average speed, so every vehicle
+crosses the 60 fixed containers in the same constant time and same-lane
+collisions are impossible by construction. The whole schedule therefore
+follows from each vehicle's arrival second and lane, and a run is one
+ordered pass over the scheduled vehicles. Admission decides over frozen
+vehicle records and changes none of them, so a demand can be scheduled
+again. A small online classifier predicts right turns at admission.
 """
 
 from __future__ import annotations
@@ -19,17 +20,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-from .core import (
-    InvalidStateError,
-    LaneId,
-    SeededRng,
-    SpeedMph,
-    Vehicle,
-    VehicleState,
-    _require,
-    mph_to_fps,
-)
-from .flows import PatternKind, PatternSpec, generate_arrivals
+from .core import LaneId, SeededRng, SpeedMph, Vehicle, _require, mph_to_fps
+from .flows import PatternKind, generate_arrivals
 from .report import RunReport, summarize
 from .turns import TurnLabel, TurnPredictor
 
@@ -95,10 +87,24 @@ class IntersectionConfig:
             sorted(l.value for l in ids) == ["A1", "A2", "B1", "B2"],
             f"config must cover lanes A1, A2, B1, B2 exactly once, got {[l.value for l in ids]}",
         )
+        # a vehicle admitted at second t holds containers until t + staying
+        # time; if that sum stays above t at the last second, it does so at
+        # every earlier second too
+        last = self.run_seconds - 1
+        for lane in self.lanes:
+            _require(
+                last + lane.staying_time != last,
+                f"lane {lane.id.value}: staying time {lane.staying_time!r} s is lost to rounding "
+                f"at second {last}, so its vehicles would occupy no container",
+            )
 
     @classmethod
     def default(cls) -> "IntersectionConfig":
         return cls(lanes=tuple(LaneConfig(lane_id) for lane_id in LaneId))
+
+    def open_seconds(self, lane: LaneConfig) -> range:
+        """Seconds of the window on which `gate_open` holds for the lane."""
+        return range(lane.phase_parity, self.run_seconds, 2)
 
     def lane(self, lane_id: LaneId) -> LaneConfig:
         for lane in self.lanes:
@@ -143,40 +149,34 @@ def gate_open(lane: LaneConfig, t: float) -> bool:
 
 
 def admit(v: Vehicle, lane: LaneConfig) -> Decision:
-    """Speed band first, then the gate at the vehicle's arrival second;
-    admission locks the vehicle to the band average."""
-    if v.state is not VehicleState.PENDING:
-        raise InvalidStateError(f"vehicle {v.id} is {v.state.value}, not pending")
+    """Speed band first, then the gate at the vehicle's arrival second; an
+    admitted vehicle is assigned the band average. A pure decision: the
+    vehicle is not changed, so the same vehicle always gets the same answer."""
     if not (lane.min_speed <= v.speed_mph <= lane.max_speed):
-        v.mark_rejected()
         return Decision(admitted=False, reason=RejectReason.SPEED_OUT_OF_BAND)
     if not gate_open(lane, v.arrival_s):
-        v.mark_rejected()
         return Decision(admitted=False, reason=RejectReason.GATE_CLOSED)
-    assigned = lane.average_speed
-    v.mark_entered(assigned)
-    return Decision(admitted=True, assigned_speed=assigned)
+    return Decision(admitted=True, assigned_speed=lane.average_speed)
 
 
 def exit_second(record: ScheduleRecord) -> int:
     """Clock second on which the vehicle leaves: ceiling of its exit time."""
     if not record.admitted or record.exit_s is None:
-        raise InvalidStateError(f"vehicle {record.vehicle_id} was not admitted")
+        raise ValueError(f"vehicle {record.vehicle_id} was not admitted")
     return math.ceil(record.exit_s)
 
 
 @dataclass
 class LaneDemand:
-    """Realized demand for one lane: what got a slot and what spilled over."""
+    """Realized demand for one lane: what got a slot and what spilled over.
+    An overflow vehicle is rejected by being here; it is never admitted."""
 
-    lane: LaneId
     scheduled: list[Vehicle]
     overflow: list[Vehicle]
-    requests: int
 
-
-def _open_seconds(lane: LaneConfig, run_seconds: int) -> list[int]:
-    return [t for t in range(run_seconds) if t % 2 == lane.phase_parity]
+    @property
+    def requests(self) -> int:
+        return len(self.scheduled) + len(self.overflow)
 
 
 def build_demand(
@@ -192,16 +192,14 @@ def build_demand(
 
     A vehicle draws its approach speed and, on a primary lane, its feature
     triple; a paired lane's vehicle copies the features of its sibling's
-    same-slot vehicle when one exists.
+    same-slot vehicle when one exists. The vehicles are frozen records:
+    running the schedule decides their fate without changing them.
     """
-    # random demand tosses one coin per second of the window; take_first only
-    # matters to the arranged queue
-    spec = PatternSpec(kind, horizon_slots=cfg.run_seconds, take_first=cfg.run_seconds)
     demand: dict[LaneId, LaneDemand] = {}
     for lane in cfg.lanes_in_order:
-        requests = generate_arrivals(spec, rng, parity=lane.phase_parity, horizon_s=cfg.run_seconds)
+        requests = generate_arrivals(kind, cfg.run_seconds, rng, parity=lane.phase_parity)
 
-        open_slots = _open_seconds(lane, cfg.run_seconds)
+        open_slots = cfg.open_seconds(lane)
         assignments: list[tuple[int, int | None]] = []  # (request second, slot or None)
         cursor = 0
         for req in requests:
@@ -243,9 +241,8 @@ def build_demand(
                 scheduled.append(v)
             else:
                 v = Vehicle(id=vid, lane=lane.id, speed_mph=speed, arrival_s=float(req), features=features)
-                v.mark_rejected()
                 overflow.append(v)
-        demand[lane.id] = LaneDemand(lane=lane.id, scheduled=scheduled, overflow=overflow, requests=len(requests))
+        demand[lane.id] = LaneDemand(scheduled=scheduled, overflow=overflow)
     return demand
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
@@ -98,14 +98,6 @@ def summarize(
     )
 
 
-@dataclass
-class ComparisonTable:
-    rows: list[RunReport] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self.rows.sort(key=lambda r: (r.model.value, r.n_vehicles, r.pattern.value if r.pattern else ""))
-
-
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -131,13 +123,15 @@ REPORT_COLUMNS = (
 )
 
 
-def emit_csv(table: ComparisonTable, path: Path | str) -> Path:
-    """One row per report, stable column order, deterministic bytes."""
+def emit_csv(reports: Iterable[RunReport], path: Path | str) -> Path:
+    """One row per report, sorted by model, fleet size and pattern; stable
+    column order, deterministic bytes."""
+    rows = sorted(reports, key=lambda r: (r.model.value, r.n_vehicles, r.pattern.value if r.pattern else ""))
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
-        for row in table.rows:
+        for row in rows:
             data = asdict(row)
             writer.writerow([_cell(data[col]) for col in REPORT_COLUMNS])
     return path

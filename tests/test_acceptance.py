@@ -6,6 +6,7 @@ the corresponding criterion's line read FAILED in the pytest report instead.
 """
 
 import filecmp
+import heapq
 import math
 import time
 from collections import Counter
@@ -17,7 +18,6 @@ from intersched.cli import reproduce_all
 from intersched.core import LaneId, SeededRng, mph_to_fps
 from intersched.flows import (
     PatternKind,
-    PatternSpec,
     arranged_wait,
     extra_space_pct,
     generate_arrivals,
@@ -104,7 +104,7 @@ def test_pattern_economics():
     started = time.perf_counter()
 
     # one arrival per open slot: nothing waits, nothing spills
-    average = generate_arrivals(PatternSpec(PatternKind.AVERAGE), SeededRng(0))
+    average = generate_arrivals(PatternKind.AVERAGE, 60, SeededRng(0))
     queue = arranged_wait(average, take_first=30)
     assert queue.avg_wait_s == 0.0
     assert extra_space_pct(PatternKind.AVERAGE) == 0.0
@@ -114,7 +114,7 @@ def test_pattern_economics():
 
     # random demand: spill percentage versus an independent brute count
     for seed in range(25):
-        arrivals = generate_arrivals(PatternSpec(PatternKind.RANDOM), SeededRng(seed))
+        arrivals = generate_arrivals(PatternKind.RANDOM, 720, SeededRng(seed))
         brute = 0
         rng = SeededRng(seed)
         for _ in range(720):
@@ -165,12 +165,13 @@ def test_grid_model_statistics():
 def _brute_force_knn(query, instances, k, rng):
     """Independent reimplementation: full distance table, stable order by
     store index, majority vote, same tie-break draw."""
-    table = []
-    for idx, inst in enumerate(instances):
-        d2 = sum((q - f) ** 2 for q, f in zip(query, inst.features))
-        table.append((math.sqrt(d2), idx))
-    table.sort()
-    chosen = [instances[idx] for _, idx in table[:k]]
+    day, hour, event = query
+    dist = [
+        math.sqrt((day - inst.day) ** 2 + (hour - inst.hour) ** 2 + (event - inst.event) ** 2)
+        for inst in instances
+    ]
+    # nsmallest equals sorted(...)[:k], so equal distances keep store order
+    chosen = [instances[idx] for idx in heapq.nsmallest(k, range(len(instances)), key=dist.__getitem__)]
     votes = Counter(inst.label for inst in chosen)
     top = max(votes.values())
     modal = []

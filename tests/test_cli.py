@@ -142,6 +142,18 @@ class TestProdlineCommand:
         code, out, err = run_cli(capsys, "prodline", "--config", str(ini), "--out-dir", str(tmp_path))
         assert (code, out, err) == (1, "", "error: lane A1: staying time must be positive and finite, got inf s\n")
 
+    def test_staying_time_must_not_round_away(self, capsys, tmp_path):
+        # 5e19 mph crosses in 2.1e-17 s, and 59 + 2.1e-17 == 59: vehicles
+        # admitted after second 0 would occupy no container at all
+        ini = tmp_path / "fast.ini"
+        ini.write_text("[lane.A1]\nmax_speed = 100000000000000000000\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "prodline", "--config", str(ini), "--out-dir", str(tmp_path))
+        assert (code, out, err) == (
+            1, "",
+            "error: lane A1: staying time 2.147457272727273e-17 s is lost to rounding at second 59, "
+            "so its vehicles would occupy no container\n",
+        )
+
 
 # Exotic INI values for the property test: non-finite, huge and degenerate
 # settings a hand-written file may hold. Every lane section holds ordinary
@@ -224,6 +236,8 @@ class TestConfigFile:
     # crossing times that used to be accepted as inf
     @example("[lane.A1]\nspot_length_ft = inf\n", 42)
     @example("[lane.A1]\nspot_length_ft = 1e308\nnum_spots = 100\n", 42)
+    # a crossing time that used to round away next to the arrival second
+    @example("[lane.A1]\nmax_speed = 1e20\n", 42)
     def test_every_accepted_config_runs(self, tmp_path_factory, text, seed):
         ini = tmp_path_factory.mktemp("ini") / "lanes.ini"
         ini.write_text(text, encoding="utf-8")
@@ -236,6 +250,8 @@ class TestConfigFile:
             demand = build_demand(cfg, kind, rng)
             records, _ = run_prodline(cfg, {lane_id: d.scheduled for lane_id, d in demand.items()}, rng=rng)
             assert verify_no_collisions(records, cfg) == 0
+            # an admitted vehicle occupies at least one container
+            assert all(r.exit_s > r.arrive_s for r in records if r.admitted)
 
 
 class TestFlowCommand:
@@ -253,6 +269,25 @@ class TestFlowCommand:
         payload = json.loads(out)
         assert payload["per_vehicle_wait_s"] is None
         assert payload["extra_space_pct"] == 100.0
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--pattern", "random", "--slots", "0"], "horizon_slots must be > 0, got 0"),
+            (["--pattern", "average", "--slots", "-3", "--take", "0"], "horizon_slots must be > 0, got -3"),
+            (["--pattern", "worst", "--take", "0"], "take_first must be in 1..720, got 0"),
+            (["--pattern", "random", "--take", "721"], "take_first must be in 1..720, got 721"),
+            (["--pattern", "average", "--slots", "10", "--take", "11"], "take_first must be in 1..10, got 11"),
+        ],
+    )
+    def test_slots_and_take_are_checked_for_every_pattern(self, capsys, argv, message):
+        assert run_cli(capsys, "flow", *argv) == (1, "", f"error: {message}\n")
+
+    def test_slots_set_only_the_random_horizon(self, capsys):
+        _, out, _ = run_cli(capsys, "flow", "--pattern", "average", "--slots", "10", "--take", "10")
+        assert json.loads(out)["arrivals"] == list(range(0, 60, 2))
+        _, out, _ = run_cli(capsys, "flow", "--pattern", "random", "--slots", "10", "--take", "1")
+        assert all(0 <= slot < 10 for slot in json.loads(out)["arrivals"])
 
     def test_random_is_seeded(self, capsys, tmp_path):
         _, out_a, _ = run_cli(capsys, "flow", "--pattern", "random", "--seed", "5")

@@ -1,20 +1,20 @@
-"""Unit conversions, the seeded RNG, and vehicle lifecycle."""
+"""Unit conversions, the seeded RNG, and the vehicle record."""
 
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
 from intersched.core import (
-    InvalidStateError,
     LaneId,
     SeededRng,
     Vehicle,
-    VehicleState,
     mph_to_fps,
     mph_to_fps_truncated,
     validate_features,
 )
+from intersched.prodline import LaneConfig, admit
 
 
 class TestConversions:
@@ -140,31 +140,25 @@ class TestFeatures:
 
 
 class TestVehicle:
-    def _pending(self):
+    def _vehicle(self):
         return Vehicle(id=1, lane=LaneId.A1, speed_mph=63.0, arrival_s=4.0)
 
     def test_admission_path(self):
-        v = self._pending()
-        v.mark_entered(62.5)
-        assert v.state is VehicleState.ENTERED
-        assert v.speed_mph == 62.5
+        # the assigned speed lives in the decision; the vehicle keeps its own
+        v = self._vehicle()
+        decision = admit(v, LaneConfig(LaneId.A1))
+        assert decision.admitted and decision.assigned_speed == 62.5
+        assert v == self._vehicle()
 
     def test_rejection_path(self):
-        v = self._pending()
-        v.mark_rejected()
-        assert v.state is VehicleState.REJECTED
+        v = self._vehicle()
+        assert not admit(v, LaneConfig(LaneId.A1, min_speed=64)).admitted
+        assert v == self._vehicle()
 
-    def test_cannot_reject_after_entering(self):
-        v = self._pending()
-        v.mark_entered(62.5)
-        with pytest.raises(InvalidStateError):
-            v.mark_rejected()
-
-    def test_double_admission_raises(self):
-        v = self._pending()
-        v.mark_entered(62.5)
-        with pytest.raises(InvalidStateError):
-            v.mark_entered(62.5)
+    def test_fields_cannot_be_reassigned(self):
+        v = self._vehicle()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.speed_mph = 62.5
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):

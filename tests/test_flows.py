@@ -8,7 +8,6 @@ from intersched.flows import (
     LANE_CAPACITY,
     QUEUE_SLOT_S,
     PatternKind,
-    PatternSpec,
     arranged_wait,
     extra_space_pct,
     generate_arrivals,
@@ -18,41 +17,39 @@ from intersched.flows import (
 
 class TestGenerateArrivals:
     def test_average_fills_every_open_second(self):
-        spec = PatternSpec(PatternKind.AVERAGE)
-        assert generate_arrivals(spec, SeededRng(0)) == list(range(0, 60, 2))
-        assert generate_arrivals(spec, SeededRng(0), parity=1) == list(range(1, 60, 2))
+        assert generate_arrivals(PatternKind.AVERAGE, 60, SeededRng(0)) == list(range(0, 60, 2))
+        assert generate_arrivals(PatternKind.AVERAGE, 60, SeededRng(0), parity=1) == list(range(1, 60, 2))
 
     def test_worst_doubles_every_open_second(self):
-        spec = PatternSpec(PatternKind.WORST)
-        arrivals = generate_arrivals(spec, SeededRng(0))
+        arrivals = generate_arrivals(PatternKind.WORST, 60, SeededRng(0))
         assert len(arrivals) == 60
         assert arrivals[:4] == [0, 0, 2, 2]
         assert arrivals.count(58) == 2
 
     def test_deterministic_patterns_ignore_the_rng(self):
-        spec = PatternSpec(PatternKind.AVERAGE)
-        assert generate_arrivals(spec, SeededRng(1)) == generate_arrivals(spec, SeededRng(999))
+        for kind in (PatternKind.AVERAGE, PatternKind.WORST):
+            assert generate_arrivals(kind, 60, SeededRng(1)) == generate_arrivals(kind, 60, SeededRng(999))
 
     def test_random_is_seed_deterministic(self):
-        spec = PatternSpec(PatternKind.RANDOM)
-        a = generate_arrivals(spec, SeededRng(42))
-        b = generate_arrivals(spec, SeededRng(42))
+        a = generate_arrivals(PatternKind.RANDOM, 720, SeededRng(42))
+        b = generate_arrivals(PatternKind.RANDOM, 720, SeededRng(42))
         assert a == b
-        assert a != generate_arrivals(spec, SeededRng(43))
+        assert a != generate_arrivals(PatternKind.RANDOM, 720, SeededRng(43))
 
     def test_random_slots_in_range_and_increasing(self):
-        arrivals = generate_arrivals(PatternSpec(PatternKind.RANDOM), SeededRng(7))
+        arrivals = generate_arrivals(PatternKind.RANDOM, 720, SeededRng(7))
         assert all(0 <= s < 720 for s in arrivals)
         assert arrivals == sorted(set(arrivals))
 
     def test_random_count_near_half(self):
         # Binomial(720, 0.5): 3 sigma is about 40
-        arrivals = generate_arrivals(PatternSpec(PatternKind.RANDOM), SeededRng(5))
+        arrivals = generate_arrivals(PatternKind.RANDOM, 720, SeededRng(5))
         assert 320 <= len(arrivals) <= 400
 
     def test_horizon_validation(self):
-        with pytest.raises(ValueError):
-            generate_arrivals(PatternSpec(PatternKind.AVERAGE), SeededRng(0), horizon_s=0)
+        for kind in PatternKind:
+            with pytest.raises(ValueError, match="horizon must be > 0, got 0"):
+                generate_arrivals(kind, 0, SeededRng(0))
 
 
 class TestArrangedWait:
@@ -134,11 +131,3 @@ class TestPercentages:
 
     def test_default_capacity_is_one_lane_window(self):
         assert LANE_CAPACITY == 30
-
-
-class TestPatternSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PatternSpec(PatternKind.RANDOM, horizon_slots=0)
-        with pytest.raises(ValueError):
-            PatternSpec(PatternKind.RANDOM, take_first=0)

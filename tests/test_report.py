@@ -12,7 +12,6 @@ from intersched.prodline import ScheduleRecord
 from intersched.report import (
     REPORT_COLUMNS,
     SCHEDULE_COLUMNS,
-    ComparisonTable,
     Model,
     RunReport,
     emit_csv,
@@ -97,24 +96,25 @@ class TestRunReportInvariants:
             )
 
 
-class TestComparisonTable:
-    def test_rows_sorted_by_model_then_size(self):
+class TestEmitters:
+    def test_csv_rows_sorted_by_model_then_size(self, tmp_path):
         rows = [
+            summarize([_rec(1)], pattern=PatternKind.WORST),
             summarize([_rec(1)], pattern=PatternKind.AVERAGE),
             summarize(_baseline_report(n=200)),
             summarize(_baseline_report(n=50)),
         ]
-        table = ComparisonTable(rows)
-        assert [(r.model, r.n_vehicles) for r in table.rows] == [
-            (Model.BASELINE, 50), (Model.BASELINE, 200), (Model.PRODLINE, 1),
+        out = emit_csv(rows, tmp_path / "comparison.csv")
+        with open(out, newline="", encoding="utf-8") as fh:
+            got = [(r["model"], r["n_vehicles"], r["pattern"]) for r in csv.DictReader(fh)]
+        assert got == [
+            ("baseline", "50", ""), ("baseline", "200", ""), ("prodline", "1", "average"), ("prodline", "1", "worst"),
         ]
 
-
-class TestEmitters:
     def test_csv_layout_and_precision(self, tmp_path):
         report = summarize(_baseline_report(waiting=70.47260999999996), seed=42)
         out = tmp_path / "comparison.csv"
-        emit_csv(ComparisonTable([report]), out)
+        emit_csv([report], out)
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == ",".join(REPORT_COLUMNS)
         with open(out, newline="", encoding="utf-8") as fh:
@@ -126,10 +126,10 @@ class TestEmitters:
         assert rows[0]["pattern"] == ""
 
     def test_csv_bytes_stable(self, tmp_path):
-        table = ComparisonTable([summarize(_baseline_report())])
+        reports = [summarize(_baseline_report())]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_csv(table, a)
-        emit_csv(table, b)
+        emit_csv(reports, a)
+        emit_csv(reports, b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_schedule_csv_columns_and_cells(self, tmp_path):
