@@ -33,7 +33,6 @@ from .flows import (
     PatternKind,
     QueueResult,
     arranged_wait,
-    extra_space_pct,
     generate_arrivals,
     waiting_pct,
 )

@@ -56,16 +56,14 @@ class PlacedVehicle:
 
 @dataclass(frozen=True)
 class GridConfig:
-    width: int = 100
-    height: int = 100
+    """Crossing geometry. Each band cell is one lane per direction, and each
+    lane holds one car per feeder cell."""
+
     cell_ft: float = CELL_FT
     intersection_band: tuple[int, int] = (40, 58)
     feeder_range: tuple[int, int] = (1, 38)
-    lanes_per_direction: int = 19
-    capacity_per_side: int = 722
 
     def __post_init__(self) -> None:
-        _require(self.width > 0 and self.height > 0, "grid dimensions must be positive")
         _require(self.cell_ft > 0, f"cell_ft must be > 0, got {self.cell_ft}")
         band_lo, band_hi = self.intersection_band
         feed_lo, feed_hi = self.feeder_range
@@ -73,19 +71,18 @@ class GridConfig:
         _require(feed_lo <= feed_hi, f"bad feeder range {self.feeder_range}")
         # feeders must end strictly before the crossing band begins
         _require(feed_hi < band_lo, f"feeder {self.feeder_range} overlaps band {self.intersection_band}")
-        _require(band_hi < self.width and band_hi < self.height, "band exceeds the grid")
-        _require(
-            band_hi - band_lo + 1 == self.lanes_per_direction,
-            f"band holds {band_hi - band_lo + 1} lanes, config says {self.lanes_per_direction}",
-        )
-        _require(
-            self.lanes_per_direction * (feed_hi - feed_lo + 1) == self.capacity_per_side,
-            f"{self.lanes_per_direction} lanes x {feed_hi - feed_lo + 1} cells != {self.capacity_per_side}",
-        )
 
     @property
     def feeder_len(self) -> int:
         return self.feeder_range[1] - self.feeder_range[0] + 1
+
+    @property
+    def lanes_per_direction(self) -> int:
+        return self.intersection_band[1] - self.intersection_band[0] + 1
+
+    @property
+    def capacity_per_side(self) -> int:
+        return self.lanes_per_direction * self.feeder_len
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import json
 import logging
@@ -18,13 +19,12 @@ import os
 import sys
 from pathlib import Path
 
-from .baseline import GridConfig, run_baseline
+from .baseline import BaselineReport, GridConfig, run_baseline
 from .core import LaneId, SeededRng
 from .flows import (
     LANE_CAPACITY,
     PatternKind,
     arranged_wait,
-    extra_space_pct,
     generate_arrivals,
     waiting_pct,
 )
@@ -37,6 +37,8 @@ from .prodline import (
     run_prodline,
 )
 from .report import (
+    Model,
+    RunReport,
     emit_csv,
     emit_json,
     emit_schedule_csv,
@@ -75,6 +77,10 @@ def _fmt(value: float) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def _baseline_row(report: BaselineReport) -> list[str]:
+    return [str(report.n_vehicles), _fmt(report.collisions_per_vehicle), _fmt(report.avg_waiting_s)]
+
+
 def load_config(path: Path | str | None) -> IntersectionConfig:
     """Build an IntersectionConfig from an INI file; every key is optional
     and defaults to the standard four-lane setup."""
@@ -103,30 +109,24 @@ def load_config(path: Path | str | None) -> IntersectionConfig:
             spot_length_ft=section.getfloat("spot_length_ft", defaults.spot_length_ft),
         )
 
-    run_seconds = 60
+    run_seconds = RUN_SECONDS
     if parser.has_section("intersection"):
         section = parser["intersection"]
         unknown = set(section) - {"run_seconds"}
         if unknown:
             raise ValueError(f"[intersection] has unknown keys: {sorted(unknown)}")
-        run_seconds = section.getint("run_seconds", 60)
+        run_seconds = section.getint("run_seconds", RUN_SECONDS)
 
     return IntersectionConfig(lanes=tuple(lane_from(lane_id) for lane_id in LaneId), run_seconds=run_seconds)
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
     report = run_baseline(GridConfig(), args.vehicles, args.runs, SeededRng(args.seed), args.compat_int_fps)
-    row = [str(report.n_vehicles), _fmt(report.collisions_per_vehicle), _fmt(report.avg_waiting_s)]
+    target = open(args.out, "w", encoding="utf-8", newline="") if args.out else contextlib.nullcontext(sys.stdout)
+    with target as fh:
+        csv.writer(fh).writerows([BASELINE_COLUMNS, _baseline_row(report)])
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(BASELINE_COLUMNS)
-            writer.writerow(row)
         print(args.out)
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(BASELINE_COLUMNS)
-        writer.writerow(row)
     return 0
 
 
@@ -145,10 +145,10 @@ def _prodline_artifacts(kind: PatternKind, seed: int, cfg: IntersectionConfig, r
                     assigned_speed=None, exit_s=None, admitted=False,
                 )
             )
+    # extra lane space: the realized requests against the open seconds
     total_requests = sum(d.requests for d in demand.values())
     total_slots = sum(len(cfg.open_seconds(lane)) for lane in cfg.lanes)
-    extra = extra_space_pct(kind, n_requests=total_requests, capacity=total_slots)
-    report = summarize(records, pattern=kind, extra_space_pct=extra, seed=seed)
+    report = summarize(records, pattern=kind, seed=seed, extra_space_pct=waiting_pct(total_requests, total_slots))
     return records, report, predictor
 
 
@@ -169,9 +169,9 @@ def _cmd_prodline(args: argparse.Namespace) -> int:
 def _cmd_flow(args: argparse.Namespace) -> int:
     kind = PatternKind(args.pattern)
     if args.slots <= 0:
-        raise ValueError(f"horizon_slots must be > 0, got {args.slots}")
+        raise ValueError(f"--slots must be > 0, got {args.slots}")
     if not 0 < args.take <= args.slots:
-        raise ValueError(f"take_first must be in 1..{args.slots}, got {args.take}")
+        raise ValueError(f"--take must be in 1..{args.slots}, got {args.take}")
     # --slots is the random pattern's horizon; average and worst fill one window
     horizon = args.slots if kind is PatternKind.RANDOM else RUN_SECONDS
     arrivals = generate_arrivals(kind, horizon, SeededRng(args.seed))
@@ -181,11 +181,15 @@ def _cmd_flow(args: argparse.Namespace) -> int:
         # duplicate arrival slots: the arranged-queue model does not apply
         payload["per_vehicle_wait_s"] = None
         payload["avg_wait_s"] = None
+    elif not arrivals:
+        # a random draw with no arrival: the queue is empty and has no mean
+        payload["per_vehicle_wait_s"] = []
+        payload["avg_wait_s"] = None
     else:
         result = arranged_wait(arrivals, min(args.take, len(arrivals)))
         payload["per_vehicle_wait_s"] = result.per_vehicle_wait_s
         payload["avg_wait_s"] = result.avg_wait_s
-    payload["extra_space_pct"] = extra_space_pct(kind, n_requests=len(arrivals))
+    payload["extra_space_pct"] = waiting_pct(len(arrivals), LANE_CAPACITY)
 
     if args.out:
         emit_json(payload, args.out)
@@ -235,8 +239,15 @@ def reproduce_all(seed: int, out_dir: Path) -> list[Path]:
         writer.writerow(BASELINE_COLUMNS)
         for i, n in enumerate(BASELINE_SWEEP_NS):
             report = run_baseline(GridConfig(), n, BASELINE_SWEEP_RUNS, master.spawn(i))
-            writer.writerow([str(n), _fmt(report.collisions_per_vehicle), _fmt(report.avg_waiting_s)])
-            reports.append(summarize(report, seed=seed))
+            writer.writerow(_baseline_row(report))
+            # the grid model admits every car and measures no extra space
+            reports.append(
+                RunReport(
+                    model=Model.BASELINE, pattern=None, n_vehicles=n, admitted=n, rejected=0,
+                    avg_waiting_s=report.avg_waiting_s, collisions_per_vehicle=report.collisions_per_vehicle,
+                    extra_space_pct=0.0, seed=seed,
+                )
+            )
     written.append(sweep_path)
 
     cfg = IntersectionConfig.default()

@@ -124,6 +124,7 @@ class Vehicle:
     """One vehicle in the slot-scheduled model, fixed once built.
 
     `arrival_s` is the second the vehicle presents at its lane's gate;
+    `features` is the (day, hour, event) triple the turn classifier reads;
     `waiting_s` is the delay between wanting to enter and being scheduled.
     Admission decides the vehicle's fate from these fields and changes none
     of them, so one demand can be scheduled any number of times.
@@ -133,12 +134,11 @@ class Vehicle:
     lane: LaneId
     speed_mph: SpeedMph
     arrival_s: float
-    features: Features | None = None
+    features: Features
     waiting_s: float = 0.0
 
     def __post_init__(self) -> None:
         _require_positive_finite(self.speed_mph, "speed_mph")
         _require(self.arrival_s >= 0.0, f"arrival_s must be >= 0, got {self.arrival_s}")
         _require(self.waiting_s >= 0.0, f"waiting_s must be >= 0, got {self.waiting_s}")
-        if self.features is not None:
-            validate_features(self.features)
+        validate_features(self.features)

@@ -4,11 +4,13 @@ Three demand shapes feed the slot scheduler: average (demand exactly fills
 the open slots), worst (double demand), and random (a fair coin per slot).
 The standalone queue experiment arranges randomly-arriving vehicles into
 every-other-slot service positions and prices the delay at 5.5880 s per slot.
+Extra lane space is not a property of a pattern: `waiting_pct` computes it
+from the requests a run realized against the slots it had open.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .core import SeededRng, _require
@@ -49,10 +51,8 @@ def generate_arrivals(kind: PatternKind, horizon: int, rng: SeededRng, parity: i
 @dataclass(frozen=True)
 class QueueResult:
     arrivals: list[int]
-    arranged_positions: list[int]
     per_vehicle_wait_s: list[float]
     avg_wait_s: float
-    taken: int = field(default=0)
 
 
 def arranged_wait(arrivals: list[int], take_first: int = 60) -> QueueResult:
@@ -71,37 +71,21 @@ def arranged_wait(arrivals: list[int], take_first: int = 60) -> QueueResult:
     _require(0 < take_first <= len(arrivals),
              f"take_first must be in 1..{len(arrivals)}, got {take_first}")
 
-    taken = arrivals[:take_first]
-    arranged = [2 * i for i in range(len(taken))]
-    waits = [max(0, pos - arr) * QUEUE_SLOT_S for pos, arr in zip(arranged, taken)]
-    return QueueResult(
-        arrivals=list(arrivals),
-        arranged_positions=arranged,
-        per_vehicle_wait_s=waits,
-        avg_wait_s=sum(waits) / len(waits),
-        taken=len(taken),
-    )
+    waits = [max(0, 2 * i - arr) * QUEUE_SLOT_S for i, arr in enumerate(arrivals[:take_first])]
+    return QueueResult(arrivals=list(arrivals), per_vehicle_wait_s=waits, avg_wait_s=sum(waits) / len(waits))
 
 
 def waiting_pct(n_requests: int, capacity: int = LANE_CAPACITY) -> float:
     """Percentage of demand that spills past capacity: ((n - c) / c) * 100,
-    floored at zero when demand fits."""
+    floored at zero when demand fits.
+
+    This is also the extra lane space a run needs: its realized requests
+    against the open slots that served them. Average demand fills the slots
+    exactly (0%), worst demand doubles them (100%), and random demand lands
+    wherever its coin draws put it.
+    """
     _require(n_requests >= 0, f"n_requests must be >= 0, got {n_requests}")
     _require(capacity > 0, f"capacity must be > 0, got {capacity}")
     if n_requests <= capacity:
         return 0.0
     return (n_requests - capacity) / capacity * 100.0
-
-
-def extra_space_pct(kind: PatternKind, n_requests: int | None = None, capacity: int = LANE_CAPACITY) -> float:
-    """Extra lane-space a pattern demands beyond one window's capacity.
-
-    Average demand fits exactly (0%); worst is double demand (100%); random
-    depends on the realized request count.
-    """
-    if kind is PatternKind.AVERAGE:
-        return 0.0
-    if kind is PatternKind.WORST:
-        return 100.0
-    _require(n_requests is not None, "random pattern needs the realized request count")
-    return waiting_pct(n_requests, capacity)

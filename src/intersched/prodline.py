@@ -9,7 +9,12 @@ collisions are impossible by construction. The whole schedule therefore
 follows from each vehicle's arrival second and lane, and a run is one
 ordered pass over the scheduled vehicles. Admission decides over frozen
 vehicle records and changes none of them, so a demand can be scheduled
-again. A small online classifier predicts right turns at admission.
+again. A small online classifier predicts right turns at admission from
+each vehicle's (day, hour, event) features.
+
+A config lists its lanes in the order A1, A2, B1, B2. That order is the
+visit order within a second, and it builds each primary lane's demand
+before its sibling's, so nothing else sorts the lanes.
 """
 
 from __future__ import annotations
@@ -82,10 +87,10 @@ class IntersectionConfig:
 
     def __post_init__(self) -> None:
         _require(self.run_seconds > 0, f"run_seconds must be > 0, got {self.run_seconds}")
-        ids = [lane.id for lane in self.lanes]
+        ids = [lane.id.value for lane in self.lanes]
         _require(
-            sorted(l.value for l in ids) == ["A1", "A2", "B1", "B2"],
-            f"config must cover lanes A1, A2, B1, B2 exactly once, got {[l.value for l in ids]}",
+            ids == [lane_id.value for lane_id in LaneId],
+            f"config must list lanes A1, A2, B1, B2 in that order, got {ids}",
         )
         # a vehicle admitted at second t holds containers until t + staying
         # time; if that sum stays above t at the last second, it does so at
@@ -111,10 +116,6 @@ class IntersectionConfig:
             if lane.id is lane_id:
                 return lane
         raise LookupError(f"no lane {lane_id.value} in config")
-
-    @property
-    def lanes_in_order(self) -> tuple[LaneConfig, ...]:
-        return tuple(self.lane(lane_id) for lane_id in LaneId)
 
 
 class RejectReason(Enum):
@@ -190,13 +191,14 @@ def build_demand(
     per second of the window; average and worst are the deterministic
     one-per-slot and two-per-slot demands.
 
-    A vehicle draws its approach speed and, on a primary lane, its feature
-    triple; a paired lane's vehicle copies the features of its sibling's
-    same-slot vehicle when one exists. The vehicles are frozen records:
-    running the schedule decides their fate without changing them.
+    Lanes are built in config order. A vehicle draws its approach speed and,
+    on a primary lane, its feature triple; a paired lane's vehicle copies the
+    features of its sibling's same-slot vehicle when one exists. The vehicles
+    are frozen records: running the schedule decides their fate without
+    changing them.
     """
     demand: dict[LaneId, LaneDemand] = {}
-    for lane in cfg.lanes_in_order:
+    for lane in cfg.lanes:
         requests = generate_arrivals(kind, cfg.run_seconds, rng, parity=lane.phase_parity)
 
         open_slots = cfg.open_seconds(lane)
@@ -225,7 +227,7 @@ def build_demand(
         for vid, (req, slot) in zip(ids, assignments):
             speed = float(rng.rand_int(int(lane.min_speed), int(lane.max_speed)))
             sibling = sibling_by_slot.get(slot) if slot is not None else None
-            if sibling is not None and sibling.features is not None:
+            if sibling is not None:
                 features = sibling.features
             else:
                 features = (rng.rand_int(1, 5), rng.rand_int(0, 23), rng.rand_int(0, 1))
@@ -263,29 +265,27 @@ def _validate_schedule(cfg: IntersectionConfig, arrivals: Mapping[LaneId, Sequen
 def run_prodline(
     cfg: IntersectionConfig,
     arrivals: Mapping[LaneId, Sequence[Vehicle]],
-    predictor: TurnPredictor | None = None,
-    rng: SeededRng | None = None,
-    pattern: PatternKind | None = None,
+    predictor: TurnPredictor,
+    rng: SeededRng,
+    *,
+    pattern: PatternKind,
 ) -> tuple[list[ScheduleRecord], RunReport]:
     """Admit every scheduled vehicle in one pass and record it.
 
-    Vehicles are taken by arrival second, and within a second by lane in the
-    order A1, A2, B1, B2; the schedule holds at most one vehicle per
-    lane-second, so that order is total. An admitted vehicle gets a turn
-    prediction before entering: primary lanes consult their group's
-    classifier, paired lanes reuse the sibling's same-second prediction when
-    there is one.
+    Vehicles are taken by arrival second, and within a second by lane in
+    config order; the schedule holds at most one vehicle per lane-second, so
+    that order is total. An admitted vehicle gets a turn prediction before
+    entering: primary lanes consult their group's classifier in `predictor`,
+    with `rng` breaking label ties, and paired lanes reuse the sibling's
+    same-second prediction when there is one. The report is labelled with
+    `pattern` and the seed of `rng`.
     """
     _validate_schedule(cfg, arrivals)
-    if predictor is None:
-        predictor = TurnPredictor()
-    if rng is None:
-        rng = SeededRng(0)
 
     visits = sorted(
         (
             (int(v.arrival_s), order, lane, v)
-            for order, lane in enumerate(cfg.lanes_in_order)
+            for order, lane in enumerate(cfg.lanes)
             for v in arrivals.get(lane.id, ())
         ),
         key=lambda visit: visit[:2],
@@ -297,11 +297,10 @@ def run_prodline(
         decision = admit(v, lane)
         label: TurnLabel | None = None
         if decision.admitted:
-            if v.features is not None:
-                label = turn_by_lane_second.get((lane.id.sibling, t)) if not lane.id.is_primary else None
-                if label is None:
-                    label = predictor.predict_and_record(v.features, lane.id.group, rng)
-                turn_by_lane_second[(lane.id, t)] = label
+            label = turn_by_lane_second.get((lane.id.sibling, t)) if not lane.id.is_primary else None
+            if label is None:
+                label = predictor.predict_and_record(v.features, lane.id.group, rng)
+            turn_by_lane_second[(lane.id, t)] = label
             logger.info(
                 "Vehicle %d has entered the intersection through lane [%s] with speed of %s",
                 v.id, lane.id.value, decision.assigned_speed,

@@ -14,7 +14,6 @@ from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-from .baseline import BaselineReport
 from .core import _require
 from .flows import PatternKind
 
@@ -54,35 +53,17 @@ class RunReport:
 
 
 def summarize(
-    source: "Iterable[ScheduleRecord] | BaselineReport",
-    pattern: PatternKind | None = None,
+    records: "Iterable[ScheduleRecord]",
+    *,
+    pattern: PatternKind,
+    seed: int,
     extra_space_pct: float = 0.0,
-    seed: int = 0,
 ) -> RunReport:
-    """Fold per-vehicle records (or a grid-model report) into one RunReport.
+    """Fold one slot-scheduled run's per-vehicle records into a RunReport.
 
-    Waiting is averaged over every recorded vehicle; a grid-model report
-    passes its aggregates through unchanged.
+    Waiting is averaged over every recorded vehicle.
     """
-    if isinstance(source, BaselineReport):
-        return RunReport(
-            model=Model.BASELINE,
-            pattern=pattern,
-            n_vehicles=source.n_vehicles,
-            admitted=source.n_vehicles,
-            rejected=0,
-            avg_waiting_s=source.avg_waiting_s,
-            collisions_per_vehicle=source.collisions_per_vehicle,
-            extra_space_pct=extra_space_pct,
-            seed=seed,
-        )
-
-    from .prodline import ScheduleRecord
-
-    records = list(source)
-    for r in records:
-        if not isinstance(r, ScheduleRecord):
-            raise ValueError(f"mixed input to summarize: got {type(r).__name__}")
+    records = list(records)
     admitted = sum(1 for r in records if r.admitted)
     n = len(records)
     return RunReport(

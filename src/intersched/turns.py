@@ -255,18 +255,15 @@ class TurnPredictor:
     """Per-group online classifier used by the slot scheduler.
 
     Lane groups A and B each get their own store (bootstrapped identically);
-    every prediction is appended back into the group's store.
+    every prediction takes `knn_predict`'s k and is appended back into the
+    group's store.
     """
 
-    def __init__(self, k: int = 3, stores: dict[str, InstanceStore] | None = None) -> None:
-        self.k = k
-        self.stores = stores if stores is not None else {
-            "A": InstanceStore(seed_instances()),
-            "B": InstanceStore(seed_instances()),
-        }
+    def __init__(self) -> None:
+        self.stores = {"A": InstanceStore(seed_instances()), "B": InstanceStore(seed_instances())}
 
     def predict_and_record(self, features: Features, group: str, rng: SeededRng) -> TurnLabel:
         store = self.stores[group]
-        label = knn_predict(features, store, self.k, rng)
+        label = knn_predict(features, store, rng=rng)
         store.append(KnnInstance(*features, label))
         return label

@@ -18,8 +18,8 @@ from intersched.cli import reproduce_all
 from intersched.core import LaneId, SeededRng, mph_to_fps
 from intersched.flows import (
     PatternKind,
+    LANE_CAPACITY,
     arranged_wait,
-    extra_space_pct,
     generate_arrivals,
     waiting_pct,
 )
@@ -33,6 +33,7 @@ from intersched.turns import (
     InstanceStore,
     KnnInstance,
     TurnLabel,
+    TurnPredictor,
     knn_predict,
     load_store,
     seed_instances,
@@ -53,7 +54,7 @@ def test_exit_times_exact_to_nanoseconds():
     started = time.perf_counter()
     cfg = IntersectionConfig.default()
     demand = build_demand(cfg, PatternKind.AVERAGE, SeededRng(42))
-    records, _ = run_prodline(cfg, _schedule(demand), rng=SeededRng(42))
+    records, _ = run_prodline(cfg, _schedule(demand), TurnPredictor(), SeededRng(42), pattern=PatternKind.AVERAGE)
 
     first_a = next(r for r in records if r.lane is LaneId.A1)
     first_b = next(r for r in records if r.lane is LaneId.B1)
@@ -83,7 +84,7 @@ def test_scheduler_never_collides():
     for i in range(1000):
         rng = master.spawn(i)
         demand = build_demand(cfg, patterns[i % 3], rng)
-        records, report = run_prodline(cfg, _schedule(demand), rng=rng)
+        records, report = run_prodline(cfg, _schedule(demand), TurnPredictor(), rng, pattern=patterns[i % 3])
         assert verify_no_collisions(records, cfg) == 0
         for r in records:
             if r.admitted:
@@ -107,10 +108,11 @@ def test_pattern_economics():
     average = generate_arrivals(PatternKind.AVERAGE, 60, SeededRng(0))
     queue = arranged_wait(average, take_first=30)
     assert queue.avg_wait_s == 0.0
-    assert extra_space_pct(PatternKind.AVERAGE) == 0.0
+    assert waiting_pct(len(average), LANE_CAPACITY) == 0.0
 
     # doubled demand: exactly 100% extra space
-    assert extra_space_pct(PatternKind.WORST) == 100.0
+    worst = generate_arrivals(PatternKind.WORST, 60, SeededRng(0))
+    assert waiting_pct(len(worst), LANE_CAPACITY) == 100.0
 
     # random demand: spill percentage versus an independent brute count
     for seed in range(25):
@@ -122,7 +124,7 @@ def test_pattern_economics():
                 brute += 1
         assert len(arrivals) == brute
         expect = ((brute - 30) / 30 * 100.0) if brute > 30 else 0.0
-        assert extra_space_pct(PatternKind.RANDOM, n_requests=brute) == pytest.approx(expect)
+        assert waiting_pct(brute, LANE_CAPACITY) == pytest.approx(expect)
 
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0

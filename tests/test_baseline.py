@@ -28,13 +28,7 @@ from intersched.core import SeededRng, mph_to_fps, mph_to_fps_truncated
 
 CFG = GridConfig()
 # every field that shapes the geometry moved off its default
-ODD_CFG = GridConfig(
-    cell_ft=10.0,
-    intersection_band=(45, 54),
-    feeder_range=(3, 30),
-    lanes_per_direction=10,
-    capacity_per_side=280,
-)
+ODD_CFG = GridConfig(cell_ft=10.0, intersection_band=(45, 54), feeder_range=(3, 30))
 
 
 def _fps(compat_int_fps):
@@ -54,11 +48,15 @@ class TestGridConfig:
             GridConfig(intersection_band=(30, 48), feeder_range=(1, 38))
 
     def test_capacity_must_match_geometry(self):
-        with pytest.raises(ValueError):
+        # derived, not set: one car per feeder cell in every lane
+        assert ODD_CFG.capacity_per_side == 280
+        with pytest.raises(TypeError):
             GridConfig(capacity_per_side=700)
 
     def test_band_must_match_lane_count(self):
-        with pytest.raises(ValueError):
+        # derived, not set: one lane per band cell
+        assert ODD_CFG.lanes_per_direction == 10
+        with pytest.raises(TypeError):
             GridConfig(lanes_per_direction=20)
 
 

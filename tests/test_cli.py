@@ -8,8 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from intersched.cli import DEFAULT_SEED, build_parser, load_config, main, reproduce_all
 from intersched.core import LaneId, SeededRng
-from intersched.flows import PatternKind
+from intersched.flows import PatternKind, waiting_pct
 from intersched.prodline import build_demand, run_prodline, verify_no_collisions
+from intersched.turns import TurnPredictor
 
 
 def run_cli(capsys, *argv):
@@ -61,8 +62,10 @@ class TestBaselineCommand:
             capsys, "baseline", "--vehicles", "50", "--runs", "2", "--out", str(target)
         )
         assert code == 0
-        assert target.exists()
         assert str(target) in out
+        # the file holds the bytes the command writes to stdout without --out
+        _, stdout_csv, _ = run_cli(capsys, "baseline", "--vehicles", "50", "--runs", "2")
+        assert target.read_bytes() == stdout_csv.encode()
 
     def test_compat_flag_changes_the_numbers(self, capsys):
         _, exact, _ = run_cli(capsys, "baseline", "--vehicles", "300", "--runs", "3", "--seed", "4")
@@ -102,6 +105,24 @@ class TestProdlineCommand:
         assert payload["n_vehicles"] == 240
         assert payload["rejected"] == 120
         assert payload["extra_space_pct"] == 100.0
+
+    def test_extra_space_is_realized_requests_against_open_seconds(self, capsys, tmp_path):
+        # 61 s: A lanes open on 31 seconds and B lanes on 30, 122 slots in all;
+        # seed 2's random draw makes 133 requests, more than the slots
+        ini = tmp_path / "odd.ini"
+        ini.write_text("[intersection]\nrun_seconds = 61\n", encoding="utf-8")
+        summary = {}
+        for pattern in ("average", "worst", "random"):
+            code, _, _ = run_cli(
+                capsys, "prodline", "--config", str(ini), "--pattern", pattern, "--seed", "2",
+                "--out-dir", str(tmp_path),
+            )
+            assert code == 0
+            summary[pattern] = json.loads((tmp_path / f"prodline_{pattern}_summary.json").read_text(encoding="utf-8"))
+        assert summary["average"]["n_vehicles"] == 122 and summary["average"]["extra_space_pct"] == 0.0
+        assert summary["worst"]["n_vehicles"] == 244 and summary["worst"]["extra_space_pct"] == 100.0
+        assert summary["random"]["n_vehicles"] == 133
+        assert summary["random"]["extra_space_pct"] == waiting_pct(133, 122)
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -248,7 +269,8 @@ class TestConfigFile:
         for kind in PatternKind:
             rng = SeededRng(seed)
             demand = build_demand(cfg, kind, rng)
-            records, _ = run_prodline(cfg, {lane_id: d.scheduled for lane_id, d in demand.items()}, rng=rng)
+            schedule = {lane_id: d.scheduled for lane_id, d in demand.items()}
+            records, _ = run_prodline(cfg, schedule, TurnPredictor(), rng, pattern=kind)
             assert verify_no_collisions(records, cfg) == 0
             # an admitted vehicle occupies at least one container
             assert all(r.exit_s > r.arrive_s for r in records if r.admitted)
@@ -273,15 +295,26 @@ class TestFlowCommand:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--pattern", "random", "--slots", "0"], "horizon_slots must be > 0, got 0"),
-            (["--pattern", "average", "--slots", "-3", "--take", "0"], "horizon_slots must be > 0, got -3"),
-            (["--pattern", "worst", "--take", "0"], "take_first must be in 1..720, got 0"),
-            (["--pattern", "random", "--take", "721"], "take_first must be in 1..720, got 721"),
-            (["--pattern", "average", "--slots", "10", "--take", "11"], "take_first must be in 1..10, got 11"),
+            (["--pattern", "random", "--slots", "0"], "--slots must be > 0, got 0"),
+            (["--pattern", "average", "--slots", "-3", "--take", "0"], "--slots must be > 0, got -3"),
+            (["--pattern", "worst", "--take", "0"], "--take must be in 1..720, got 0"),
+            (["--pattern", "random", "--take", "721"], "--take must be in 1..720, got 721"),
+            (["--pattern", "average", "--slots", "10", "--take", "11"], "--take must be in 1..10, got 11"),
         ],
+        ids=["random-slots-0", "average-slots--3", "worst-take-0", "random-take-721", "average-take-11"],
     )
     def test_slots_and_take_are_checked_for_every_pattern(self, capsys, argv, message):
         assert run_cli(capsys, "flow", *argv) == (1, "", f"error: {message}\n")
+
+    def test_empty_random_draw_is_an_empty_queue(self, capsys):
+        # seed 42's one coin comes up 0: no vehicle arrives, none waits
+        code, out, err = run_cli(capsys, "flow", "--pattern", "random", "--slots", "1", "--take", "1")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["arrivals"] == []
+        assert payload["per_vehicle_wait_s"] == []
+        assert payload["avg_wait_s"] is None
+        assert payload["extra_space_pct"] == 0.0
 
     def test_slots_set_only_the_random_horizon(self, capsys):
         _, out, _ = run_cli(capsys, "flow", "--pattern", "average", "--slots", "10", "--take", "10")
@@ -359,6 +392,19 @@ class TestReproduce:
         }
         for name in sorted(names):
             assert str(out_dir / name) in out
+
+        # each baseline comparison row passes the sweep's figures through
+        with open(out_dir / "baseline_sweep.csv", newline="", encoding="utf-8") as fh:
+            sweep = list(csv.DictReader(fh))
+        with open(out_dir / "comparison.csv", newline="", encoding="utf-8") as fh:
+            grid = [row for row in csv.DictReader(fh) if row["model"] == "baseline"]
+        assert [row["n_vehicles"] for row in grid] == [row["n_vehicles"] for row in sweep]
+        for row, swept in zip(grid, sweep):
+            assert (row["collisions_per_vehicle"], row["avg_waiting_s"]) == (
+                swept["collisions_per_vehicle"], swept["avg_waiting_s"]
+            )
+            assert (row["pattern"], row["admitted"], row["rejected"]) == ("", row["n_vehicles"], "0")
+            assert (row["extra_space_pct"], row["seed"]) == ("0.0", "7")
 
     def test_grids_are_ten_wide(self, tmp_path):
         reproduce_all(3, tmp_path)

@@ -141,7 +141,7 @@ class TestFeatures:
 
 class TestVehicle:
     def _vehicle(self):
-        return Vehicle(id=1, lane=LaneId.A1, speed_mph=63.0, arrival_s=4.0)
+        return Vehicle(id=1, lane=LaneId.A1, speed_mph=63.0, arrival_s=4.0, features=(1, 9, 0))
 
     def test_admission_path(self):
         # the assigned speed lives in the decision; the vehicle keeps its own
@@ -162,8 +162,10 @@ class TestVehicle:
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
-            Vehicle(id=1, lane=LaneId.A1, speed_mph=0.0, arrival_s=0.0)
+            Vehicle(id=1, lane=LaneId.A1, speed_mph=0.0, arrival_s=0.0, features=(1, 9, 0))
         with pytest.raises(ValueError):
-            Vehicle(id=1, lane=LaneId.A1, speed_mph=60.0, arrival_s=-1.0)
+            Vehicle(id=1, lane=LaneId.A1, speed_mph=60.0, arrival_s=-1.0, features=(1, 9, 0))
         with pytest.raises(ValueError):
             Vehicle(id=1, lane=LaneId.A1, speed_mph=60.0, arrival_s=0.0, features=(9, 9, 9))
+        with pytest.raises(TypeError):
+            Vehicle(id=1, lane=LaneId.A1, speed_mph=60.0, arrival_s=0.0)  # features are required

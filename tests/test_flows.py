@@ -9,7 +9,6 @@ from intersched.flows import (
     QUEUE_SLOT_S,
     PatternKind,
     arranged_wait,
-    extra_space_pct,
     generate_arrivals,
     waiting_pct,
 )
@@ -59,8 +58,8 @@ class TestArrangedWait:
         assert result.avg_wait_s == 0.0
 
     def test_bunched_arrivals(self):
+        # served at positions 0, 2, 4, 6
         result = arranged_wait([0, 1, 2, 3], take_first=4)
-        assert result.arranged_positions == [0, 2, 4, 6]
         assert result.per_vehicle_wait_s == pytest.approx([0.0, 5.588, 11.176, 16.764])
         assert result.avg_wait_s == pytest.approx(8.382, abs=1e-3)
 
@@ -71,7 +70,6 @@ class TestArrangedWait:
 
     def test_take_first_truncates(self):
         result = arranged_wait([0, 1, 2, 3], take_first=2)
-        assert result.taken == 2
         assert len(result.per_vehicle_wait_s) == 2
         assert result.arrivals == [0, 1, 2, 3]
 
@@ -116,18 +114,23 @@ class TestPercentages:
             waiting_pct(10, capacity=0)
 
     def test_extra_space_fixed_patterns(self):
-        assert extra_space_pct(PatternKind.AVERAGE) == 0.0
-        assert extra_space_pct(PatternKind.WORST) == 100.0
+        # extra space is the realized demand against the open slots: average
+        # fills them exactly and worst doubles them, at any window length
+        for horizon in (1, 2, 60, 61, 399):
+            for parity in (0, 1):
+                slots = len(range(parity, horizon, 2))
+                if slots == 0:
+                    continue
+                requests = {
+                    kind: len(generate_arrivals(kind, horizon, SeededRng(0), parity))
+                    for kind in (PatternKind.AVERAGE, PatternKind.WORST)
+                }
+                assert waiting_pct(requests[PatternKind.AVERAGE], slots) == 0.0
+                assert waiting_pct(requests[PatternKind.WORST], slots) == 100.0
 
     def test_extra_space_random_uses_realized_count(self):
-        assert extra_space_pct(PatternKind.RANDOM, n_requests=37) == pytest.approx(
-            23.33, abs=0.01
-        )
-        assert extra_space_pct(PatternKind.RANDOM, n_requests=20) == 0.0
-
-    def test_extra_space_random_needs_count(self):
-        with pytest.raises(ValueError):
-            extra_space_pct(PatternKind.RANDOM)
+        assert waiting_pct(37) == pytest.approx(23.33, abs=0.01)
+        assert waiting_pct(20) == 0.0
 
     def test_default_capacity_is_one_lane_window(self):
         assert LANE_CAPACITY == 30

@@ -32,7 +32,7 @@ STAY = 17.179657557103365  # 60 spots at the assigned 62.5 mph
 
 
 def _vehicle(vid=1, lane=LaneId.A1, speed=63.0, arrival=0.0):
-    return Vehicle(id=vid, lane=lane, speed_mph=speed, arrival_s=arrival)
+    return Vehicle(id=vid, lane=lane, speed_mph=speed, arrival_s=arrival, features=(1, 9, 0))
 
 
 class TestSpeeds:
@@ -171,12 +171,20 @@ class TestExitSecond:
 class TestIntersectionConfig:
     def test_default_shape(self):
         assert CFG.run_seconds == RUN_SECONDS
-        assert [lane.id for lane in CFG.lanes_in_order] == [
+        assert [lane.id for lane in CFG.lanes] == [
             LaneId.A1, LaneId.A2, LaneId.B1, LaneId.B2,
         ]
-        for lane in CFG.lanes_in_order:
+        for lane in CFG.lanes:
             assert lane.num_spots == NUM_SPOTS
             assert (lane.min_speed, lane.max_speed) == (60.0, 65.0)
+
+    def test_lanes_must_be_listed_in_order(self):
+        swapped = (CFG.lanes[1], CFG.lanes[0]) + CFG.lanes[2:]
+        with pytest.raises(ValueError) as exc:
+            IntersectionConfig(lanes=swapped)
+        assert str(exc.value) == "config must list lanes A1, A2, B1, B2 in that order, got ['A2', 'A1', 'B1', 'B2']"
+        with pytest.raises(ValueError, match=r"got \['A1', 'A1', 'B1', 'B2'\]"):
+            IntersectionConfig(lanes=(CFG.lanes[0], CFG.lanes[0]) + CFG.lanes[2:])
 
     def test_lane_lookup(self):
         assert CFG.lane(LaneId.B2).phase_parity == 1
@@ -213,7 +221,7 @@ class TestIntersectionConfig:
 class TestBuildDemand:
     def test_average_fills_every_open_slot(self):
         demand = build_demand(CFG, PatternKind.AVERAGE, SeededRng(42))
-        for lane in CFG.lanes_in_order:
+        for lane in CFG.lanes:
             d = demand[lane.id]
             assert len(d.scheduled) == 30
             assert d.overflow == []
@@ -224,7 +232,7 @@ class TestBuildDemand:
 
     def test_worst_overflows_half(self):
         demand = build_demand(CFG, PatternKind.WORST, SeededRng(42))
-        for lane in CFG.lanes_in_order:
+        for lane in CFG.lanes:
             d = demand[lane.id]
             assert len(d.scheduled) == 30
             assert len(d.overflow) == 30
@@ -235,7 +243,7 @@ class TestBuildDemand:
     def test_random_is_deterministic_and_packs_forward(self):
         a = build_demand(CFG, PatternKind.RANDOM, SeededRng(7))
         b = build_demand(CFG, PatternKind.RANDOM, SeededRng(7))
-        for lane in CFG.lanes_in_order:
+        for lane in CFG.lanes:
             assert [v.id for v in a[lane.id].scheduled] == [v.id for v in b[lane.id].scheduled]
             for v in a[lane.id].scheduled:
                 assert int(v.arrival_s) % 2 == lane.phase_parity
@@ -249,7 +257,7 @@ class TestBuildDemand:
 
     def test_speeds_are_integers_inside_the_band(self):
         demand = build_demand(CFG, PatternKind.AVERAGE, SeededRng(3))
-        for lane in CFG.lanes_in_order:
+        for lane in CFG.lanes:
             for v in demand[lane.id].scheduled:
                 assert v.speed_mph == int(v.speed_mph)
                 assert 60 <= v.speed_mph <= 65
@@ -268,12 +276,15 @@ def _schedule(demand):
     return {lane_id: d.scheduled for lane_id, d in demand.items()}
 
 
+def _run(arrivals, seed, kind):
+    """One scheduler pass over the default config with a fresh classifier."""
+    return run_prodline(CFG, arrivals, TurnPredictor(), SeededRng(seed), pattern=kind)
+
+
 class TestRunProdline:
     def test_first_wave_exit_times(self):
         demand = build_demand(CFG, PatternKind.AVERAGE, SeededRng(42))
-        records, report = run_prodline(
-            CFG, _schedule(demand), rng=SeededRng(42), pattern=PatternKind.AVERAGE
-        )
+        records, report = _run(_schedule(demand), 42, PatternKind.AVERAGE)
         first_a = next(r for r in records if r.lane is LaneId.A1)
         first_b = next(r for r in records if r.lane is LaneId.B1)
         assert first_a.arrive_s == 0.0 and first_a.exit_s == pytest.approx(STAY, abs=1e-9)
@@ -282,7 +293,7 @@ class TestRunProdline:
 
     def test_crossing_time_is_constant(self):
         demand = build_demand(CFG, PatternKind.RANDOM, SeededRng(9))
-        records, _ = run_prodline(CFG, _schedule(demand), rng=SeededRng(9))
+        records, _ = _run(_schedule(demand), 9, PatternKind.RANDOM)
         for r in records:
             if r.admitted:
                 assert r.exit_s - r.arrive_s == pytest.approx(STAY, abs=1e-12)
@@ -290,7 +301,7 @@ class TestRunProdline:
 
     def test_paired_lanes_share_the_turn_prediction(self):
         demand = build_demand(CFG, PatternKind.AVERAGE, SeededRng(11))
-        records, _ = run_prodline(CFG, _schedule(demand), rng=SeededRng(11))
+        records, _ = _run(_schedule(demand), 11, PatternKind.AVERAGE)
         by_lane_second = {(r.lane, r.arrive_s): r for r in records}
         for (lane, second), r in by_lane_second.items():
             twin = by_lane_second.get((lane.sibling, second))
@@ -299,25 +310,25 @@ class TestRunProdline:
 
     def test_every_admitted_record_has_a_prediction(self):
         demand = build_demand(CFG, PatternKind.RANDOM, SeededRng(3))
-        records, _ = run_prodline(CFG, _schedule(demand), rng=SeededRng(3))
+        records, _ = _run(_schedule(demand), 3, PatternKind.RANDOM)
         for r in records:
             assert (r.right_turn is not None) == r.admitted
 
     def test_off_phase_vehicle_is_rejected(self):
         arrivals = {LaneId.A1: [_vehicle(vid=100, arrival=1.0)]}
-        records, report = run_prodline(CFG, arrivals, rng=SeededRng(0))
+        records, report = _run(arrivals, 0, PatternKind.AVERAGE)
         (rec,) = records
         assert not rec.admitted and rec.exit_s is None and rec.right_turn is None
         assert report.rejected == 1 and report.admitted == 0
 
     def test_out_of_band_speed_is_rejected(self):
         arrivals = {LaneId.A1: [_vehicle(vid=100, speed=70.0, arrival=0.0)]}
-        records, report = run_prodline(CFG, arrivals, rng=SeededRng(0))
+        records, report = _run(arrivals, 0, PatternKind.AVERAGE)
         assert not records[0].admitted
         assert report.rejected == 1
 
     def test_empty_schedule(self):
-        records, report = run_prodline(CFG, {}, rng=SeededRng(0))
+        records, report = _run({}, 0, PatternKind.AVERAGE)
         assert records == []
         assert report.n_vehicles == 0
         assert report.avg_waiting_s == 0.0
@@ -327,18 +338,16 @@ class TestRunProdline:
             LaneId.A1: [_vehicle(vid=1, arrival=0.0), _vehicle(vid=2, arrival=0.0)]
         }
         with pytest.raises(ValueError):
-            run_prodline(CFG, arrivals, rng=SeededRng(0))
+            _run(arrivals, 0, PatternKind.AVERAGE)
 
     def test_fractional_arrival_rejected(self):
         arrivals = {LaneId.A1: [_vehicle(vid=1, arrival=0.5)]}
         with pytest.raises(ValueError):
-            run_prodline(CFG, arrivals, rng=SeededRng(0))
+            _run(arrivals, 0, PatternKind.AVERAGE)
 
     def test_waiting_average_comes_from_schedule_delay(self):
         demand = build_demand(CFG, PatternKind.WORST, SeededRng(21))
-        records, report = run_prodline(
-            CFG, _schedule(demand), rng=SeededRng(21), pattern=PatternKind.WORST
-        )
+        records, report = _run(_schedule(demand), 21, PatternKind.WORST)
         expected = sum(r.waiting_s for r in records) / len(records)
         assert report.avg_waiting_s == pytest.approx(expected)
         assert report.avg_waiting_s > 0.0
@@ -358,7 +367,7 @@ class TestRunProdline:
     def test_entry_log_line(self, caplog):
         arrivals = {LaneId.A1: [_vehicle(vid=107, arrival=0.0)]}
         with caplog.at_level(logging.INFO, logger="intersched.prodline"):
-            run_prodline(CFG, arrivals, rng=SeededRng(0))
+            _run(arrivals, 0, PatternKind.AVERAGE)
         assert any(
             "Vehicle 107 has entered the intersection through lane [A1] with speed of"
             in message
@@ -380,7 +389,8 @@ def _oracle_run_prodline(cfg, arrivals, predictor, rng):
     records = []
     turn_by_lane_second = {}
     for t in range(cfg.run_seconds):
-        for lane in cfg.lanes_in_order:
+        for lane_id in LaneId:
+            lane = cfg.lane(lane_id)
             v = by_lane_second[lane.id].get(t)
             if v is None:
                 continue
@@ -395,22 +405,20 @@ def _oracle_run_prodline(cfg, arrivals, predictor, rng):
                 continue
             assigned = (lane.min_speed + lane.max_speed) / 2.0
 
-            label = None
-            if v.features is not None:
-                label = turn_by_lane_second.get((lane.id.sibling, t)) if not lane.id.is_primary else None
-                if label is None:
-                    label = predictor.predict_and_record(v.features, lane.id.group, rng)
-                turn_by_lane_second[(lane.id, t)] = label
+            label = turn_by_lane_second.get((lane.id.sibling, t)) if not lane.id.is_primary else None
+            if label is None:
+                label = predictor.predict_and_record(v.features, lane.id.group, rng)
+            turn_by_lane_second[(lane.id, t)] = label
 
             stay = lane.num_spots * lane.spot_length_ft / round(mph_to_fps(assigned), 5)
             records.append(
                 ScheduleRecord(
                     vehicle_id=v.id, lane=lane.id, arrive_s=float(t),
-                    right_turn=None if label is None else label is TurnLabel.RIGHT_TURN,
+                    right_turn=label is TurnLabel.RIGHT_TURN,
                     assigned_speed=assigned, exit_s=t + stay, admitted=True, waiting_s=v.waiting_s,
                 )
             )
-    return records, summarize(records, seed=rng.seed)
+    return records, summarize(records, pattern=PatternKind.RANDOM, seed=rng.seed)
 
 
 def _random_config(rng):
@@ -423,16 +431,15 @@ def _random_config(rng):
                 num_spots=rng.randrange(1, 80), spot_length_ft=rng.uniform(0.5, 40.0),
             )
         )
-    rng.shuffle(lanes)  # lanes_in_order, not the tuple order, decides the visit order
     return IntersectionConfig(lanes=tuple(lanes), run_seconds=rng.randrange(1, 50))
 
 
 def _random_schedule(rng, cfg):
     """Vehicles on some lanes: missing and empty lanes, off-phase seconds,
-    out-of-band and fractional speeds, and vehicles without features."""
+    out-of-band and fractional speeds."""
     arrivals = {}
     vid = 0
-    for lane in cfg.lanes_in_order:
+    for lane in cfg.lanes:
         shape = rng.random()
         if shape < 0.15:
             continue  # lane missing from the mapping
@@ -446,7 +453,7 @@ def _random_schedule(rng, cfg):
             speed = float(rng.randrange(int(lane.min_speed) - 3, int(lane.max_speed) + 4))
             if rng.random() < 0.1:
                 speed += rng.random()
-            features = None if rng.random() < 0.2 else (rng.randint(1, 5), rng.randint(0, 23), rng.randint(0, 1))
+            features = (rng.randint(1, 5), rng.randint(0, 23), rng.randint(0, 1))
             vehicles.append(
                 Vehicle(
                     id=vid, lane=lane.id, speed_mph=speed, arrival_s=float(t),
@@ -469,7 +476,7 @@ class TestOrderedPassMatchesTheClock:
             seed = rng.randrange(2**32)
 
             predictor, run_rng = TurnPredictor(), SeededRng(seed)
-            records, report = run_prodline(cfg, arrivals, predictor, run_rng)
+            records, report = run_prodline(cfg, arrivals, predictor, run_rng, pattern=PatternKind.RANDOM)
             oracle_predictor, oracle_rng = TurnPredictor(), SeededRng(seed)
             expected, expected_report = _oracle_run_prodline(
                 cfg, copy.deepcopy(pristine), oracle_predictor, oracle_rng
@@ -526,7 +533,7 @@ class TestVerifyNoCollisions:
     @pytest.mark.parametrize("kind", list(PatternKind))
     def test_full_runs_are_collision_free(self, kind):
         demand = build_demand(CFG, kind, SeededRng(13))
-        records, _ = run_prodline(CFG, _schedule(demand), rng=SeededRng(13))
+        records, _ = _run(_schedule(demand), 13, kind)
         assert verify_no_collisions(records, CFG) == 0
 
     def test_detector_fires_on_a_shared_container(self):
