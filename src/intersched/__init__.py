@@ -31,7 +31,6 @@ from .core import (
 )
 from .flows import (
     PatternKind,
-    QueueResult,
     arranged_wait,
     generate_arrivals,
     waiting_pct,

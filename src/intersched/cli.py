@@ -5,6 +5,11 @@ scheduler), `flow` (demand patterns and the arranged queue), `knn` (turn
 classifier store tools), and `reproduce` (the full sweep). Every run is a
 pure function of its seed; bare invocations use DEFAULT_SEED so they are
 reproducible too. INTERSCHED_OUT_DIR overrides the default output directory.
+
+Each output format has one writer: the baseline CSV, the prodline vehicle
+table and summary, and the flow JSON are written by the same functions
+whether a subcommand or `reproduce` asks for them, and every CSV cell's
+text comes from `report.format_cell`.
 """
 
 from __future__ import annotations
@@ -17,17 +22,13 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import Iterable
 
 from .baseline import BaselineReport, GridConfig, run_baseline
 from .core import LaneId, SeededRng
-from .flows import (
-    LANE_CAPACITY,
-    PatternKind,
-    arranged_wait,
-    generate_arrivals,
-    waiting_pct,
-)
+from .flows import LANE_CAPACITY, PatternKind, arranged_wait, generate_arrivals, waiting_pct
 from .prodline import (
     RUN_SECONDS,
     IntersectionConfig,
@@ -42,6 +43,7 @@ from .report import (
     emit_csv,
     emit_json,
     emit_schedule_csv,
+    format_cell,
     report_to_dict,
     summarize,
 )
@@ -73,58 +75,62 @@ def _default_out_dir() -> Path:
     return Path(os.environ.get(OUT_DIR_ENV, "."))
 
 
-def _fmt(value: float) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-def _baseline_row(report: BaselineReport) -> list[str]:
-    return [str(report.n_vehicles), _fmt(report.collisions_per_vehicle), _fmt(report.avg_waiting_s)]
+def _section_values(parser: configparser.ConfigParser, name: str, cls: type, skip: str) -> dict:
+    """The keys of section `name` as keyword arguments for the dataclass
+    `cls`: each field other than `skip`, parsed by its default's type."""
+    if not parser.has_section(name):
+        return {}
+    section = parser[name]
+    defaults = {f.name: f.default for f in fields(cls) if f.name != skip}
+    unknown = set(section) - set(defaults)
+    if unknown:
+        raise ValueError(f"[{name}] has unknown keys: {sorted(unknown)}")
+    return {
+        key: section.getint(key) if isinstance(default, int) else section.getfloat(key)
+        for key, default in defaults.items()
+        if key in section
+    }
 
 
 def load_config(path: Path | str | None) -> IntersectionConfig:
-    """Build an IntersectionConfig from an INI file; every key is optional
-    and defaults to the standard four-lane setup."""
+    """Build an IntersectionConfig from an INI file. `[intersection]` takes
+    `run_seconds`, and `[lane.A1]`..`[lane.B2]` take LaneConfig's fields;
+    every key is optional and defaults to the standard four-lane setup."""
     if path is None:
         return IntersectionConfig.default()
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(os.fspath(path))
+    except configparser.Error as exc:
+        # configparser's messages span lines; an error is reported on one
+        raise ValueError(" ".join(str(exc).split())) from None
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
+    # a misspelled section would otherwise leave its lane at the defaults
+    sections = parser.sections() + ([parser.default_section] if parser.defaults() else [])
+    unknown = set(sections) - {"intersection", *(f"lane.{lane_id.value}" for lane_id in LaneId)}
+    if unknown:
+        raise ValueError(f"unknown sections {sorted(unknown)}; expected [intersection] and [lane.A1]..[lane.B2]")
+    top = _section_values(parser, "intersection", IntersectionConfig, "lanes")
+    lanes = tuple(
+        LaneConfig(lane_id, **_section_values(parser, f"lane.{lane_id.value}", LaneConfig, "id"))
+        for lane_id in LaneId
+    )
+    return IntersectionConfig(lanes=lanes, **top)
 
-    def lane_from(lane_id: LaneId) -> LaneConfig:
-        section_name = f"lane.{lane_id.value}"
-        defaults = LaneConfig(lane_id)
-        if not parser.has_section(section_name):
-            return defaults
-        section = parser[section_name]
-        known = {"min_speed", "max_speed", "num_spots", "spot_length_ft"}
-        unknown = set(section) - known
-        if unknown:
-            raise ValueError(f"[{section_name}] has unknown keys: {sorted(unknown)}")
-        return LaneConfig(
-            lane_id,
-            min_speed=section.getfloat("min_speed", defaults.min_speed),
-            max_speed=section.getfloat("max_speed", defaults.max_speed),
-            num_spots=section.getint("num_spots", defaults.num_spots),
-            spot_length_ft=section.getfloat("spot_length_ft", defaults.spot_length_ft),
-        )
 
-    run_seconds = RUN_SECONDS
-    if parser.has_section("intersection"):
-        section = parser["intersection"]
-        unknown = set(section) - {"run_seconds"}
-        if unknown:
-            raise ValueError(f"[intersection] has unknown keys: {sorted(unknown)}")
-        run_seconds = section.getint("run_seconds", RUN_SECONDS)
-
-    return IntersectionConfig(lanes=tuple(lane_from(lane_id) for lane_id in LaneId), run_seconds=run_seconds)
+def _write_baseline_csv(fh, reports: Iterable[BaselineReport]) -> None:
+    """The baseline table: a header, then one row per grid-model report."""
+    writer = csv.writer(fh)
+    writer.writerow(BASELINE_COLUMNS)
+    writer.writerows([format_cell(getattr(r, col)) for col in BASELINE_COLUMNS] for r in reports)
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
     report = run_baseline(GridConfig(), args.vehicles, args.runs, SeededRng(args.seed), args.compat_int_fps)
     target = open(args.out, "w", encoding="utf-8", newline="") if args.out else contextlib.nullcontext(sys.stdout)
     with target as fh:
-        csv.writer(fh).writerows([BASELINE_COLUMNS, _baseline_row(report)])
+        _write_baseline_csv(fh, [report])
     if args.out:
         print(args.out)
     return 0
@@ -152,6 +158,14 @@ def _prodline_artifacts(kind: PatternKind, seed: int, cfg: IntersectionConfig, r
     return records, report, predictor
 
 
+def _write_prodline(out_dir: Path, kind: PatternKind, records: list[ScheduleRecord], report: RunReport) -> list[Path]:
+    """One scheduler run's vehicle table and summary JSON."""
+    return [
+        emit_schedule_csv(records, out_dir / f"prodline_{kind.value}_vehicles.csv"),
+        emit_json(report_to_dict(report), out_dir / f"prodline_{kind.value}_summary.json"),
+    ]
+
+
 def _cmd_prodline(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     kind = PatternKind(args.pattern)
@@ -159,11 +173,31 @@ def _cmd_prodline(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     records, report, _ = _prodline_artifacts(kind, args.seed, cfg, SeededRng(args.seed))
-    vehicles_path = emit_schedule_csv(records, out_dir / f"prodline_{kind.value}_vehicles.csv")
-    summary_path = emit_json(report_to_dict(report), out_dir / f"prodline_{kind.value}_summary.json")
-    print(vehicles_path)
-    print(summary_path)
+    for path in _write_prodline(out_dir, kind, records, report):
+        print(path)
     return 0
+
+
+def _flow_payload(kind: PatternKind, seed: int, arrivals: list[int], take: int) -> dict:
+    """The flow JSON for one draw: its arrivals, the arranged-queue waits of
+    the first `take` of them (clamped to the draw), and the extra space."""
+    if kind is PatternKind.WORST:
+        # duplicate arrival slots: the arranged-queue model does not apply
+        waits, avg = None, None
+    elif not arrivals:
+        # a random draw with no arrival: the queue is empty and has no mean
+        waits, avg = [], None
+    else:
+        waits = arranged_wait(arrivals, min(take, len(arrivals)))
+        avg = sum(waits) / len(waits)
+    return {
+        "pattern": kind.value,
+        "seed": seed,
+        "arrivals": arrivals,
+        "per_vehicle_wait_s": waits,
+        "avg_wait_s": avg,
+        "extra_space_pct": waiting_pct(len(arrivals), LANE_CAPACITY),
+    }
 
 
 def _cmd_flow(args: argparse.Namespace) -> int:
@@ -175,22 +209,7 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     # --slots is the random pattern's horizon; average and worst fill one window
     horizon = args.slots if kind is PatternKind.RANDOM else RUN_SECONDS
     arrivals = generate_arrivals(kind, horizon, SeededRng(args.seed))
-
-    payload: dict = {"pattern": kind.value, "seed": args.seed, "arrivals": arrivals}
-    if kind is PatternKind.WORST:
-        # duplicate arrival slots: the arranged-queue model does not apply
-        payload["per_vehicle_wait_s"] = None
-        payload["avg_wait_s"] = None
-    elif not arrivals:
-        # a random draw with no arrival: the queue is empty and has no mean
-        payload["per_vehicle_wait_s"] = []
-        payload["avg_wait_s"] = None
-    else:
-        result = arranged_wait(arrivals, min(args.take, len(arrivals)))
-        payload["per_vehicle_wait_s"] = result.per_vehicle_wait_s
-        payload["avg_wait_s"] = result.avg_wait_s
-    payload["extra_space_pct"] = waiting_pct(len(arrivals), LANE_CAPACITY)
-
+    payload = _flow_payload(kind, args.seed, arrivals, args.take)
     if args.out:
         emit_json(payload, args.out)
         print(args.out)
@@ -227,35 +246,32 @@ def _grid_lines(store: InstanceStore, skip: int) -> list[str]:
 
 
 def reproduce_all(seed: int, out_dir: Path) -> list[Path]:
-    """Every experiment, one output tree; byte-identical for a given seed."""
+    """Every experiment, one output tree; byte-identical for a given seed.
+    A file that a subcommand also writes comes from that subcommand's writer."""
     out_dir.mkdir(parents=True, exist_ok=True)
     master = SeededRng(seed)
     written: list[Path] = []
-    reports = []
 
+    sweep = [run_baseline(GridConfig(), n, BASELINE_SWEEP_RUNS, master.spawn(i)) for i, n in enumerate(BASELINE_SWEEP_NS)]
     sweep_path = out_dir / "baseline_sweep.csv"
     with open(sweep_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BASELINE_COLUMNS)
-        for i, n in enumerate(BASELINE_SWEEP_NS):
-            report = run_baseline(GridConfig(), n, BASELINE_SWEEP_RUNS, master.spawn(i))
-            writer.writerow(_baseline_row(report))
-            # the grid model admits every car and measures no extra space
-            reports.append(
-                RunReport(
-                    model=Model.BASELINE, pattern=None, n_vehicles=n, admitted=n, rejected=0,
-                    avg_waiting_s=report.avg_waiting_s, collisions_per_vehicle=report.collisions_per_vehicle,
-                    extra_space_pct=0.0, seed=seed,
-                )
-            )
+        _write_baseline_csv(fh, sweep)
     written.append(sweep_path)
+    # the grid model admits every car and measures no extra space
+    reports = [
+        RunReport(
+            model=Model.BASELINE, pattern=None, n_vehicles=r.n_vehicles, admitted=r.n_vehicles, rejected=0,
+            avg_waiting_s=r.avg_waiting_s, collisions_per_vehicle=r.collisions_per_vehicle,
+            extra_space_pct=0.0, seed=seed,
+        )
+        for r in sweep
+    ]
 
     cfg = IntersectionConfig.default()
     grids: dict[str, list[str]] = {}
     for j, kind in enumerate(PatternKind):
         records, report, predictor = _prodline_artifacts(kind, seed, cfg, master.spawn(10 + j))
-        written.append(emit_schedule_csv(records, out_dir / f"prodline_{kind.value}_vehicles.csv"))
-        written.append(emit_json(report_to_dict(report), out_dir / f"prodline_{kind.value}_summary.json"))
+        written += _write_prodline(out_dir, kind, records, report)
         reports.append(report)
         if kind is PatternKind.AVERAGE:
             seeded = len(seed_instances())
@@ -268,20 +284,8 @@ def reproduce_all(seed: int, out_dir: Path) -> list[Path]:
         written.append(grid_path)
 
     arrivals = generate_arrivals(PatternKind.RANDOM, QUEUE_SLOTS, master.spawn(20))
-    queue = arranged_wait(arrivals, QUEUE_TAKE)
-    written.append(
-        emit_json(
-            {
-                "pattern": "random",
-                "seed": seed,
-                "arrivals": queue.arrivals,
-                "per_vehicle_wait_s": queue.per_vehicle_wait_s,
-                "avg_wait_s": queue.avg_wait_s,
-                "extra_space_pct": waiting_pct(len(arrivals), LANE_CAPACITY),
-            },
-            out_dir / "flow_random_queue.json",
-        )
-    )
+    payload = _flow_payload(PatternKind.RANDOM, seed, arrivals, QUEUE_TAKE)
+    written.append(emit_json(payload, out_dir / "flow_random_queue.json"))
 
     written.append(emit_csv(reports, out_dir / "comparison.csv"))
     return written

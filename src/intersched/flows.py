@@ -3,14 +3,14 @@
 Three demand shapes feed the slot scheduler: average (demand exactly fills
 the open slots), worst (double demand), and random (a fair coin per slot).
 The standalone queue experiment arranges randomly-arriving vehicles into
-every-other-slot service positions and prices the delay at 5.5880 s per slot.
+every-other-slot service positions and prices each vehicle's delay at
+5.5880 s per slot; `arranged_wait` returns those per-vehicle waits.
 Extra lane space is not a property of a pattern: `waiting_pct` computes it
 from the requests a run realized against the slots it had open.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .core import SeededRng, _require
@@ -48,16 +48,10 @@ def generate_arrivals(kind: PatternKind, horizon: int, rng: SeededRng, parity: i
     return [slot for slot in range(horizon) if rng.rand_int(0, 1) == 1]
 
 
-@dataclass(frozen=True)
-class QueueResult:
-    arrivals: list[int]
-    per_vehicle_wait_s: list[float]
-    avg_wait_s: float
-
-
-def arranged_wait(arrivals: list[int], take_first: int = 60) -> QueueResult:
+def arranged_wait(arrivals: list[int], take_first: int = 60) -> list[float]:
     """Assign the first `take_first` arrivals to every-other-slot positions
-    and charge each vehicle for how far it was pushed back.
+    and return, in queue order, each vehicle's wait in seconds for how far
+    it was pushed back.
 
     Vehicle i (arrival slot a_i) is served at position 2*i; its wait is
     max(0, 2*i - a_i) slots, each worth QUEUE_SLOT_S seconds. Arrivals must be
@@ -71,8 +65,7 @@ def arranged_wait(arrivals: list[int], take_first: int = 60) -> QueueResult:
     _require(0 < take_first <= len(arrivals),
              f"take_first must be in 1..{len(arrivals)}, got {take_first}")
 
-    waits = [max(0, 2 * i - arr) * QUEUE_SLOT_S for i, arr in enumerate(arrivals[:take_first])]
-    return QueueResult(arrivals=list(arrivals), per_vehicle_wait_s=waits, avg_wait_s=sum(waits) / len(waits))
+    return [max(0, 2 * i - arr) * QUEUE_SLOT_S for i, arr in enumerate(arrivals[:take_first])]
 
 
 def waiting_pct(n_requests: int, capacity: int = LANE_CAPACITY) -> float:

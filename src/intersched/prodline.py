@@ -252,6 +252,10 @@ def _validate_schedule(cfg: IntersectionConfig, arrivals: Mapping[LaneId, Sequen
     for lane_id, vehicles in arrivals.items():
         seen: set[int] = set()
         for v in vehicles:
+            _require(
+                v.lane is lane_id,
+                f"vehicle {v.id} is scheduled on lane {lane_id.value} but belongs to lane {v.lane.value}",
+            )
             second = v.arrival_s
             _require(
                 float(second).is_integer() and 0 <= second < cfg.run_seconds,

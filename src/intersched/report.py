@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
@@ -79,7 +79,9 @@ def summarize(
     )
 
 
-def _cell(value) -> str:
+def format_cell(value) -> str:
+    """The text of one output cell: floats in shortest round-trip form, enums
+    by value, booleans as Yes/No and a missing value as the empty string."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -91,17 +93,7 @@ def _cell(value) -> str:
     return str(value)
 
 
-REPORT_COLUMNS = (
-    "model",
-    "pattern",
-    "n_vehicles",
-    "admitted",
-    "rejected",
-    "avg_waiting_s",
-    "collisions_per_vehicle",
-    "extra_space_pct",
-    "seed",
-)
+REPORT_COLUMNS = tuple(f.name for f in fields(RunReport))
 
 
 def emit_csv(reports: Iterable[RunReport], path: Path | str) -> Path:
@@ -112,9 +104,7 @@ def emit_csv(reports: Iterable[RunReport], path: Path | str) -> Path:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
-        for row in rows:
-            data = asdict(row)
-            writer.writerow([_cell(data[col]) for col in REPORT_COLUMNS])
+        writer.writerows([format_cell(value) for value in asdict(row).values()] for row in rows)
     return path
 
 
@@ -127,21 +117,13 @@ def emit_schedule_csv(records: "Iterable[ScheduleRecord]", path: Path | str) -> 
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SCHEDULE_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [_cell(r.vehicle_id), _cell(r.lane), _cell(r.arrive_s), _cell(r.right_turn), _cell(r.exit_s)]
-            )
+        writer.writerows([format_cell(getattr(r, col)) for col in SCHEDULE_COLUMNS] for r in records)
     return path
 
 
 def report_to_dict(report: RunReport) -> dict:
     """JSON-ready mapping with keys in the fixed column order."""
-    data = asdict(report)
-    out = {}
-    for col in REPORT_COLUMNS:
-        value = data[col]
-        out[col] = value.value if isinstance(value, Enum) else value
-    return out
+    return {col: value.value if isinstance(value, Enum) else value for col, value in asdict(report).items()}
 
 
 def emit_json(payload: dict, path: Path | str) -> Path:

@@ -132,6 +132,35 @@ class TestProdlineCommand:
         assert code == 1 and "error:" in err
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("run_seconds = 5\n", "File contains no section headers. file: {ini!r}, line: 1 'run_seconds = 5\\n'"),
+            (
+                "[lane.A1]\nmin_speed = 60\n[lane.A1]\nmax_speed = 65\n",
+                "While reading from {ini!r} [line 3]: section 'lane.A1' already exists",
+            ),
+            (
+                "[lane.A1]\nmin_speed = 60\nmin_speed = 61\n",
+                "While reading from {ini!r} [line 3]: option 'min_speed' in section 'lane.A1' already exists",
+            ),
+            ("[lane.A1]\nmin_speed = %(x)s\n", "could not convert string to float: '%(x)s'"),
+            (
+                "[intersecton]\nrun_seconds = 2\n",
+                "unknown sections ['intersecton']; expected [intersection] and [lane.A1]..[lane.B2]",
+            ),
+            ("[lane.A3]\nmin_speed = 1\n", "unknown sections ['lane.A3']; expected [intersection] and [lane.A1]..[lane.B2]"),
+            ("[DEFAULT]\nrun_seconds = 2\n", "unknown sections ['DEFAULT']; expected [intersection] and [lane.A1]..[lane.B2]"),
+        ],
+        ids=["no-section-header", "duplicate-section", "duplicate-key", "interpolation", "misspelled-section",
+             "unknown-lane", "default-section"],
+    )
+    def test_malformed_config_is_one_error_line(self, capsys, tmp_path, text, message):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "prodline", "--config", str(ini), "--out-dir", str(tmp_path))
+        assert (code, out, err) == (1, "", f"error: {message.format(ini=str(ini))}\n")
+
+    @pytest.mark.parametrize(
         "band, message",
         [
             ("max_speed = inf", "max_speed must be a whole number of mph, got inf"),

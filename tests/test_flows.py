@@ -53,25 +53,24 @@ class TestGenerateArrivals:
 
 class TestArrangedWait:
     def test_on_time_arrivals_wait_nothing(self):
-        result = arranged_wait(list(range(0, 120, 2)), take_first=60)
-        assert result.per_vehicle_wait_s == [0.0] * 60
-        assert result.avg_wait_s == 0.0
+        waits = arranged_wait(list(range(0, 120, 2)), take_first=60)
+        assert waits == [0.0] * 60
+        assert sum(waits) / len(waits) == 0.0
 
     def test_bunched_arrivals(self):
         # served at positions 0, 2, 4, 6
-        result = arranged_wait([0, 1, 2, 3], take_first=4)
-        assert result.per_vehicle_wait_s == pytest.approx([0.0, 5.588, 11.176, 16.764])
-        assert result.avg_wait_s == pytest.approx(8.382, abs=1e-3)
+        waits = arranged_wait([0, 1, 2, 3], take_first=4)
+        assert waits == pytest.approx([0.0, 5.588, 11.176, 16.764])
+        assert sum(waits) / len(waits) == pytest.approx(8.382, abs=1e-3)
 
     def test_late_arrival_never_credited(self):
         # third vehicle shows up past its position; wait clamps at zero
-        result = arranged_wait([0, 1, 9], take_first=3)
-        assert result.per_vehicle_wait_s == [0.0, QUEUE_SLOT_S, 0.0]
+        assert arranged_wait([0, 1, 9], take_first=3) == [0.0, QUEUE_SLOT_S, 0.0]
 
     def test_take_first_truncates(self):
-        result = arranged_wait([0, 1, 2, 3], take_first=2)
-        assert len(result.per_vehicle_wait_s) == 2
-        assert result.arrivals == [0, 1, 2, 3]
+        arrivals = [0, 1, 2, 3]
+        assert len(arranged_wait(arrivals, take_first=2)) == 2
+        assert arrivals == [0, 1, 2, 3]
 
     @pytest.mark.parametrize(
         "arrivals,take",
@@ -89,13 +88,13 @@ class TestArrangedWait:
         arrivals = sorted(slots)
         base = arranged_wait(arrivals, take_first=len(arrivals))
         shifted = arranged_wait([a + delay for a in arrivals], take_first=len(arrivals))
-        for w0, w1 in zip(base.per_vehicle_wait_s, shifted.per_vehicle_wait_s):
+        for w0, w1 in zip(base, shifted):
             assert w1 <= w0
 
     def test_waits_are_position_rule_literal(self):
         arrivals = [0, 1, 2, 5, 6, 11, 12, 30]
-        result = arranged_wait(arrivals, take_first=len(arrivals))
-        for i, (arr, wait) in enumerate(zip(arrivals, result.per_vehicle_wait_s)):
+        waits = arranged_wait(arrivals, take_first=len(arrivals))
+        for i, (arr, wait) in enumerate(zip(arrivals, waits)):
             assert wait == max(0, 2 * i - arr) * QUEUE_SLOT_S
 
 

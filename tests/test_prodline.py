@@ -340,6 +340,11 @@ class TestRunProdline:
         with pytest.raises(ValueError):
             _run(arrivals, 0, PatternKind.AVERAGE)
 
+    def test_vehicle_listed_under_another_lane_rejected(self):
+        arrivals = {LaneId.B1: [_vehicle(vid=7, lane=LaneId.A1, arrival=1.0)]}
+        with pytest.raises(ValueError, match=r"^vehicle 7 is scheduled on lane B1 but belongs to lane A1$"):
+            _run(arrivals, 0, PatternKind.AVERAGE)
+
     def test_fractional_arrival_rejected(self):
         arrivals = {LaneId.A1: [_vehicle(vid=1, arrival=0.5)]}
         with pytest.raises(ValueError):
