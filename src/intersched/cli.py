@@ -77,7 +77,8 @@ def _default_out_dir() -> Path:
 
 def _section_values(parser: configparser.ConfigParser, name: str, cls: type, skip: str) -> dict:
     """The keys of section `name` as keyword arguments for the dataclass
-    `cls`: each field other than `skip`, parsed by its default's type."""
+    `cls`: each field other than `skip`, parsed by its default's type. A
+    value that does not parse is reported with its section and key."""
     if not parser.has_section(name):
         return {}
     section = parser[name]
@@ -85,11 +86,15 @@ def _section_values(parser: configparser.ConfigParser, name: str, cls: type, ski
     unknown = set(section) - set(defaults)
     if unknown:
         raise ValueError(f"[{name}] has unknown keys: {sorted(unknown)}")
-    return {
-        key: section.getint(key) if isinstance(default, int) else section.getfloat(key)
-        for key, default in defaults.items()
-        if key in section
-    }
+    values = {}
+    for key, default in defaults.items():
+        if key not in section:
+            continue
+        try:
+            values[key] = section.getint(key) if isinstance(default, int) else section.getfloat(key)
+        except ValueError as exc:
+            raise ValueError(f"[{name}] {key}: {exc}") from None
+    return values
 
 
 def load_config(path: Path | str | None) -> IntersectionConfig:

@@ -102,8 +102,11 @@ class LaneId(Enum):
 
     @property
     def sibling(self) -> "LaneId":
-        pair = {"A1": "A2", "A2": "A1", "B1": "B2", "B2": "B1"}
-        return LaneId(pair[self.value])
+        """The other lane of its pair."""
+        return _SIBLING[self]
+
+
+_SIBLING = {LaneId.A1: LaneId.A2, LaneId.A2: LaneId.A1, LaneId.B1: LaneId.B2, LaneId.B2: LaneId.B1}
 
 
 Features = tuple[int, int, int]

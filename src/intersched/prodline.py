@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
@@ -286,9 +287,14 @@ def run_prodline(
     """
     _validate_schedule(cfg, arrivals)
 
+    # per lane in config order, computed once rather than per vehicle
+    lane_facts = [
+        (lane, lane.id.group, lane.id.is_primary, lane.id.sibling, lane.staying_time)
+        for lane in cfg.lanes
+    ]
     visits = sorted(
         (
-            (int(v.arrival_s), order, lane, v)
+            (int(v.arrival_s), order, v)
             for order, lane in enumerate(cfg.lanes)
             for v in arrivals.get(lane.id, ())
         ),
@@ -297,13 +303,14 @@ def run_prodline(
 
     records: list[ScheduleRecord] = []
     turn_by_lane_second: dict[tuple[LaneId, int], TurnLabel] = {}
-    for t, _, lane, v in visits:
+    for t, order, v in visits:
+        lane, group, primary, sibling, stay = lane_facts[order]
         decision = admit(v, lane)
         label: TurnLabel | None = None
         if decision.admitted:
-            label = turn_by_lane_second.get((lane.id.sibling, t)) if not lane.id.is_primary else None
+            label = None if primary else turn_by_lane_second.get((sibling, t))
             if label is None:
-                label = predictor.predict_and_record(v.features, lane.id.group, rng)
+                label = predictor.predict_and_record(v.features, group, rng)
             turn_by_lane_second[(lane.id, t)] = label
             logger.info(
                 "Vehicle %d has entered the intersection through lane [%s] with speed of %s",
@@ -314,7 +321,7 @@ def run_prodline(
                 vehicle_id=v.id, lane=lane.id, arrive_s=float(t),
                 right_turn=None if label is None else label is TurnLabel.RIGHT_TURN,
                 assigned_speed=decision.assigned_speed,
-                exit_s=t + lane.staying_time if decision.admitted else None,
+                exit_s=t + stay if decision.admitted else None,
                 admitted=decision.admitted, waiting_s=v.waiting_s,
             )
         )
@@ -325,25 +332,30 @@ def run_prodline(
 def verify_no_collisions(records: Sequence[ScheduleRecord], cfg: IntersectionConfig) -> int:
     """Count same-lane container collisions across the whole run.
 
-    A vehicle admitted at second a occupies container index t - a at tick t
-    until it exits; two vehicles in one lane collide when those indices
-    coincide. The scheduler's one-per-open-second admission makes the answer
-    0; this re-derives it from the records alone.
+    At each whole tick t of the window with a <= t < its exit second, a
+    vehicle admitted at time a holds container index t - ⌈a⌉, the whole part
+    of t - a taken exactly. Two vehicles in one lane collide when their
+    indices coincide. The scheduler's one-per-open-second admission makes the
+    answer 0; this re-derives it from the records alone.
 
-    Each lane is swept tick by tick in arrival order, holding only the
-    vehicles on the lane at that tick; every vehicle beyond the first on a
-    container index counts as one collision.
+    Indices coincide exactly when two vehicles share a lane and a start
+    second ⌈a⌉, so the records are grouped by that pair rather than swept
+    tick by tick. A group's members all enter on the same tick, so each tick
+    counts one collision per member beyond the first still on the lane: the
+    sum of the members' stays less the longest one. Summed over the groups,
+    that is every stay less each group's longest.
     """
-    violations = 0
-    for lane_id in LaneId:
-        arriving = sorted((r for r in records if r.lane is lane_id and r.admitted), key=lambda r: r.arrive_s)
-        on_lane: list[tuple[float, int]] = []  # (arrive_s, exit second)
-        next_in = 0
-        for t in range(cfg.run_seconds):
-            while next_in < len(arriving) and arriving[next_in].arrive_s <= t:
-                r = arriving[next_in]
-                on_lane.append((r.arrive_s, exit_second(r)))
-                next_in += 1
-            on_lane = [(arrive, leave) for arrive, leave in on_lane if t < leave]
-            violations += len(on_lane) - len({int(t - arrive) for arrive, _ in on_lane})
-    return violations
+    stays = 0
+    longest: defaultdict[LaneId, dict[int, int]] = defaultdict(dict)  # lane -> start -> longest stay
+    for r in records:
+        if not r.admitted:
+            continue
+        start = math.ceil(r.arrive_s)
+        if start >= cfg.run_seconds:
+            continue  # arrives after the window's last tick
+        first = max(start, 0)
+        stay = min(max(exit_second(r), first), cfg.run_seconds) - first
+        stays += stay
+        by_start = longest[r.lane]
+        by_start[start] = max(by_start.get(start, 0), stay)
+    return stays - sum(sum(by_start.values()) for by_start in longest.values())

@@ -16,6 +16,7 @@ depends on how far it must look, not on how large the store has grown.
 
 from __future__ import annotations
 
+import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
@@ -138,13 +139,16 @@ class InstanceStore:
         return self._postings
 
     def append(self, instance: KnnInstance) -> None:
-        """Add an instance, persisting it when the store is file-backed."""
+        """Add an instance; a file-backed store also appends its line to each
+        file, features first, in the bytes `save` would write for it.
+
+        Each line is one `os.write` on a descriptor opened with `O_APPEND` and
+        closed again; a missing file is created, as append mode would.
+        """
         self.instances.append(instance)
         if self.features_path is not None and self.labels_path is not None:
-            with open(self.features_path, "a", encoding="utf-8", newline="") as fh:
-                fh.write(f"{instance.day} {instance.hour} {instance.event}\n")
-            with open(self.labels_path, "a", encoding="utf-8", newline="") as fh:
-                fh.write(f"{instance.label.value}\n")
+            _append_line(self.features_path, f"{instance.day} {instance.hour} {instance.event}\n")
+            _append_line(self.labels_path, f"{instance.label.value}\n")
 
     def save(self, features_path: Path | str, labels_path: Path | str) -> None:
         """Write the whole store and bind it to the given paths."""
@@ -158,6 +162,16 @@ class InstanceStore:
                 fh.write(f"{inst.label.value}\n")
         self.features_path = features_path
         self.labels_path = labels_path
+
+
+def _append_line(path: Path, line: str) -> None:
+    data = line.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        if os.write(fd, data) != len(data):
+            raise OSError(f"{path}: short write appending to the store")
+    finally:
+        os.close(fd)
 
 
 def load_store(features_path: Path | str, labels_path: Path | str) -> InstanceStore:

@@ -143,7 +143,13 @@ class TestProdlineCommand:
                 "[lane.A1]\nmin_speed = 60\nmin_speed = 61\n",
                 "While reading from {ini!r} [line 3]: option 'min_speed' in section 'lane.A1' already exists",
             ),
-            ("[lane.A1]\nmin_speed = %(x)s\n", "could not convert string to float: '%(x)s'"),
+            ("[lane.A1]\nmin_speed = %(x)s\n", "[lane.A1] min_speed: could not convert string to float: '%(x)s'"),
+            ("[lane.A1]\nmin_speed = abc\n", "[lane.A1] min_speed: could not convert string to float: 'abc'"),
+            ("[lane.B2]\nnum_spots = 1e3\n", "[lane.B2] num_spots: invalid literal for int() with base 10: '1e3'"),
+            (
+                "[intersection]\nrun_seconds = 60.0\n",
+                "[intersection] run_seconds: invalid literal for int() with base 10: '60.0'",
+            ),
             (
                 "[intersecton]\nrun_seconds = 2\n",
                 "unknown sections ['intersecton']; expected [intersection] and [lane.A1]..[lane.B2]",
@@ -151,8 +157,8 @@ class TestProdlineCommand:
             ("[lane.A3]\nmin_speed = 1\n", "unknown sections ['lane.A3']; expected [intersection] and [lane.A1]..[lane.B2]"),
             ("[DEFAULT]\nrun_seconds = 2\n", "unknown sections ['DEFAULT']; expected [intersection] and [lane.A1]..[lane.B2]"),
         ],
-        ids=["no-section-header", "duplicate-section", "duplicate-key", "interpolation", "misspelled-section",
-             "unknown-lane", "default-section"],
+        ids=["no-section-header", "duplicate-section", "duplicate-key", "interpolation", "bad-float", "bad-int",
+             "bad-run-seconds", "misspelled-section", "unknown-lane", "default-section"],
     )
     def test_malformed_config_is_one_error_line(self, capsys, tmp_path, text, message):
         ini = tmp_path / "bad.ini"

@@ -563,3 +563,18 @@ class TestVerifyNoCollisions:
             assert verify_no_collisions(records, CFG) == expected
             total += expected
         assert total > 0  # the sets do collide, so the counts are compared
+
+    def test_container_index_is_exact_for_a_near_whole_arrival(self):
+        # arriving one ulp after second 1, a vehicle holds index t - 2 at
+        # every tick, the same as one arriving at second 2; in floats,
+        # t - a rounds to t - 1 from tick 4 on, which the per-tick rescan
+        # would read as the vehicle skipping a container
+        pair = [
+            ScheduleRecord(
+                vehicle_id=vid, lane=LaneId.B1, arrive_s=arrive, right_turn=False,
+                assigned_speed=62.5, exit_s=50.0, admitted=True,
+            )
+            for vid, arrive in ((1, 1.0 + 2.0**-52), (2, 2.0))
+        ]
+        assert int(4 - pair[0].arrive_s) == 3  # the rounding the exact count avoids
+        assert verify_no_collisions(pair, CFG) == 48  # ticks 2..49

@@ -226,6 +226,32 @@ class TestStorePersistence:
         assert len(reloaded) == 10
         assert reloaded.instances[-1] == KnnInstance(2, 11, 0, RIGHT)
 
+    def test_appends_give_the_bytes_of_a_fresh_save(self, tmp_path):
+        store = bootstrap()
+        f, l = tmp_path / "features.txt", tmp_path / "labels.txt"
+        store.save(f, l)
+        rng = SeededRng(11)
+        for _ in range(50):
+            day, hour, event = rng.choice(LATTICE)
+            store.append(KnnInstance(day, hour, event, rng.choice([RIGHT, STRAIGHT])))
+        assert {inst.label for inst in store.instances[9:]} == {RIGHT, STRAIGHT}
+        fresh_f, fresh_l = tmp_path / "fresh_features.txt", tmp_path / "fresh_labels.txt"
+        InstanceStore(list(store.instances)).save(fresh_f, fresh_l)
+        assert f.read_bytes() == fresh_f.read_bytes()
+        assert l.read_bytes() == fresh_l.read_bytes()
+        # one LF-terminated UTF-8 line per instance, no CR
+        assert b"\r" not in f.read_bytes() + l.read_bytes()
+        assert f.read_bytes().decode("utf-8").count("\n") == l.read_bytes().decode("utf-8").count("\n") == 59
+
+    def test_append_recreates_a_deleted_features_file(self, tmp_path):
+        store = bootstrap()
+        f, l = tmp_path / "features.txt", tmp_path / "labels.txt"
+        store.save(f, l)
+        f.unlink()
+        store.append(KnnInstance(2, 11, 0, RIGHT))
+        assert f.read_bytes() == b"2 11 0\n"
+        assert l.read_bytes().endswith(b"+\n") and len(l.read_bytes().splitlines()) == 10
+
     def test_blank_lines_skipped(self, tmp_path):
         f, l = tmp_path / "features.txt", tmp_path / "labels.txt"
         f.write_text("1 9 0\n\n2 20 1\n", encoding="utf-8")
