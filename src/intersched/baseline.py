@@ -25,17 +25,13 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (
-    SeededRng,
-    SpeedFps,
-    _require,
-    mph_to_fps,
-    mph_to_fps_truncated,
-)
+from .core import SeededRng, SpeedFps, _require, mph_to_fps
 
 CELL_FT = 26.2467
 WAIT_PENALTY_S = 5.58
 BASELINE_SPEED_MPH = 100.0
+# the one speed every grid car runs at, in feet per second
+GRID_FPS = mph_to_fps(BASELINE_SPEED_MPH)
 
 
 class Direction(Enum):
@@ -140,13 +136,6 @@ def detect_conflict(a: Interval, b: Interval) -> bool:
     return not (a.arrive > b.leave or a.leave < b.arrive)
 
 
-def _grid_fps(compat_int_fps: bool) -> SpeedFps:
-    """The one speed every grid car runs at, in feet per second."""
-    if compat_int_fps:
-        return mph_to_fps_truncated(BASELINE_SPEED_MPH)
-    return mph_to_fps(BASELINE_SPEED_MPH)
-
-
 def place_vehicles(cfg: GridConfig, n: int, rng: SeededRng) -> list[PlacedVehicle]:
     """Drop n cars on the grid, half east-bound and half south-bound.
 
@@ -176,9 +165,7 @@ def place_vehicles(cfg: GridConfig, n: int, rng: SeededRng) -> list[PlacedVehicl
     return east + south
 
 
-def meeting_events(
-    cars: list[PlacedVehicle], cfg: GridConfig, compat_int_fps: bool = False
-) -> list[MeetingEvent]:
+def meeting_events(cars: list[PlacedVehicle], cfg: GridConfig) -> list[MeetingEvent]:
     """Enumerate every east/south pair's crossing cell with both occupancy
     intervals and the conflict verdict.
 
@@ -190,8 +177,7 @@ def meeting_events(
     band_lo = cfg.intersection_band[0]
     east = [c for c in cars if c.direction is Direction.EAST]
     south = [c for c in cars if c.direction is Direction.SOUTH]
-    fps = _grid_fps(compat_int_fps)
-    occ = point_occupation_time(cfg.cell_ft, fps)
+    occ = point_occupation_time(cfg.cell_ft, GRID_FPS)
     events: list[MeetingEvent] = []
     for a in east:
         for b in south:
@@ -199,8 +185,8 @@ def meeting_events(
                 continue
             if not (b.y < a.y and a.y >= band_lo and b.x >= band_lo - 1):
                 continue
-            arrive_a = time_to_arrive(b.x, a.x, fps, cfg.cell_ft)
-            arrive_b = time_to_arrive(a.y, b.y, fps, cfg.cell_ft)
+            arrive_a = time_to_arrive(b.x, a.x, GRID_FPS, cfg.cell_ft)
+            arrive_b = time_to_arrive(a.y, b.y, GRID_FPS, cfg.cell_ft)
             leave_a = arrive_a + occ
             leave_b = arrive_b + occ
             events.append(
@@ -260,19 +246,19 @@ def apply_conflict_waiting(
 
 
 @functools.lru_cache(maxsize=8)
-def verdict_table(cfg: GridConfig, fps: SpeedFps) -> np.ndarray:
+def verdict_table(cfg: GridConfig) -> np.ndarray:
     """Read-only conflict verdicts indexed [d_e, d_s] by the east and south
     cars' distances in cells to their shared crossing cell.
 
     Both axes run 0..band end - feeder start, the longest distance a car in
     its feeder x band rectangle can have. Each entry is `detect_conflict` on
-    the closed intervals [arrive, arrive + cell_ft / fps] with arrive =
-    d * cell_ft / fps, the arithmetic `meeting_events` uses. Cached, because
-    every run of a sweep shares one config and one speed.
+    the closed intervals [arrive, arrive + cell_ft / GRID_FPS] with arrive =
+    d * cell_ft / GRID_FPS, the arithmetic `meeting_events` uses. Cached,
+    because every run of a sweep shares one config.
     """
-    occ = point_occupation_time(cfg.cell_ft, fps)
+    occ = point_occupation_time(cfg.cell_ft, GRID_FPS)
     longest = cfg.intersection_band[1] - cfg.feeder_range[0]
-    arrivals = [time_to_arrive(d, 0, fps, cfg.cell_ft) for d in range(longest + 1)]
+    arrivals = [time_to_arrive(d, 0, GRID_FPS, cfg.cell_ft) for d in range(longest + 1)]
     intervals = [Interval(arrive, arrive + occ) for arrive in arrivals]
     table = np.array([[detect_conflict(e, s) for s in intervals] for e in intervals])
     table.flags.writeable = False
@@ -293,9 +279,7 @@ def _grid_coords(
     return x, y
 
 
-def conflict_matrix(
-    east: list[PlacedVehicle], south: list[PlacedVehicle], cfg: GridConfig, compat_int_fps: bool = False
-) -> np.ndarray:
+def conflict_matrix(east: list[PlacedVehicle], south: list[PlacedVehicle], cfg: GridConfig) -> np.ndarray:
     """Boolean conflict verdicts for every (east, south) pair.
 
     Entry [i, j] is `verdict_table`'s entry for the pair's two distances to
@@ -305,7 +289,7 @@ def conflict_matrix(
     and one take. East cars must lie in feeder x band and south cars in
     band x feeder, else ValueError: such a pair never meets.
     """
-    table = verdict_table(cfg, _grid_fps(compat_int_fps))
+    table = verdict_table(cfg)
     w = table.shape[1]
     feeder, band = cfg.feeder_range, cfg.intersection_band
     ex, ey = _grid_coords(east, feeder, band, "east")
@@ -313,7 +297,7 @@ def conflict_matrix(
     return table.ravel().take((ey - w * ex)[:, None] + (w * sx - sy)[None, :])
 
 
-def _run_single(cfg: GridConfig, n: int, rng: SeededRng, compat_int_fps: bool) -> tuple[int, float]:
+def _run_single(cfg: GridConfig, n: int, rng: SeededRng) -> tuple[int, float]:
     """One seeded run: (raw error count, total accumulated waiting)."""
     cars = place_vehicles(cfg, n, rng)
     east = cars[: n // 2]
@@ -321,7 +305,7 @@ def _run_single(cfg: GridConfig, n: int, rng: SeededRng, compat_int_fps: bool) -
     if not east or not south:
         return 0, 0.0
 
-    mask = conflict_matrix(east, south, cfg, compat_int_fps)
+    mask = conflict_matrix(east, south, cfg)
     lo = cfg.feeder_range[0]
     # lanes fill from the feeder's first cell, so the cars at-or-behind a car
     # in its own lane (the car itself included) number its feeder offset + 1
@@ -337,9 +321,7 @@ def _run_single(cfg: GridConfig, n: int, rng: SeededRng, compat_int_fps: bool) -
     return errors, total_waiting
 
 
-def run_baseline(
-    cfg: GridConfig, n_vehicles: int, runs: int, rng: SeededRng, compat_int_fps: bool = False
-) -> BaselineReport:
+def run_baseline(cfg: GridConfig, n_vehicles: int, runs: int, rng: SeededRng) -> BaselineReport:
     """Average collision and waiting figures over `runs` independent runs.
 
     Every scan counts each conflicting pair twice (once per direction), so
@@ -351,7 +333,7 @@ def run_baseline(
     collision_sum = 0.0
     waiting_sum = 0.0
     for run_index in range(runs):
-        errors, total_waiting = _run_single(cfg, n_vehicles, rng.spawn(run_index), compat_int_fps)
+        errors, total_waiting = _run_single(cfg, n_vehicles, rng.spawn(run_index))
         collision_sum += (errors / 2) / n_vehicles
         waiting_sum += (total_waiting / 2) / n_vehicles
     return BaselineReport(

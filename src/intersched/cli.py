@@ -18,7 +18,6 @@ import argparse
 import configparser
 import contextlib
 import csv
-import json
 import logging
 import os
 import sys
@@ -44,6 +43,7 @@ from .report import (
     emit_json,
     emit_schedule_csv,
     format_cell,
+    json_text,
     report_to_dict,
     summarize,
 )
@@ -132,7 +132,7 @@ def _write_baseline_csv(fh, reports: Iterable[BaselineReport]) -> None:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    report = run_baseline(GridConfig(), args.vehicles, args.runs, SeededRng(args.seed), args.compat_int_fps)
+    report = run_baseline(GridConfig(), args.vehicles, args.runs, SeededRng(args.seed))
     target = open(args.out, "w", encoding="utf-8", newline="") if args.out else contextlib.nullcontext(sys.stdout)
     with target as fh:
         _write_baseline_csv(fh, [report])
@@ -219,8 +219,7 @@ def _cmd_flow(args: argparse.Namespace) -> int:
         emit_json(payload, args.out)
         print(args.out)
     else:
-        json.dump(payload, sys.stdout, indent=2)
-        print()
+        sys.stdout.write(json_text(payload))
     return 0
 
 
@@ -317,8 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vehicles", type=int, required=True, help="fleet size (even)")
     p.add_argument("--runs", type=int, default=100, help="seeded runs to average over")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--compat-int-fps", action="store_true",
-                   help="integer-truncated mph->fps (100 mph -> 146 fps)")
     p.add_argument("--out", type=Path, default=None, help="write the CSV here instead of stdout")
     p.set_defaults(func=_cmd_baseline)
 
@@ -352,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_knn)
 
     p = sub.add_parser("reproduce", help="run every experiment into one output tree")
-    p.add_argument("--all", action="store_true", help="run the complete sweep (the default and only mode)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out-dir", type=Path, default=None)
     p.set_defaults(func=_cmd_reproduce)

@@ -35,16 +35,6 @@ def mph_to_fps(speed_mph: SpeedMph) -> SpeedFps:
     return speed_mph * FEET_PER_MILE / SECONDS_PER_HOUR
 
 
-def mph_to_fps_truncated(speed_mph: SpeedMph) -> SpeedFps:
-    """Conversion with the legacy double integer truncation.
-
-    Divides by 60 twice, flooring after each step: 100 mph -> 146 fps
-    rather than 146.667. Kept for compatibility runs of the grid model.
-    """
-    _require_positive_finite(speed_mph, "speed_mph")
-    return float(math.floor(math.floor(speed_mph * FEET_PER_MILE / 60.0) / 60.0))
-
-
 class SeededRng:
     """Deterministic random source: MT19937 behind a fixed seed.
 

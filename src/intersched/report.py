@@ -126,9 +126,13 @@ def report_to_dict(report: RunReport) -> dict:
     return {col: value.value if isinstance(value, Enum) else value for col, value in asdict(report).items()}
 
 
+def json_text(payload: dict) -> str:
+    """The text of a JSON output, whether it goes to a file or stdout."""
+    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+
+
 def emit_json(payload: dict, path: Path | str) -> Path:
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2, ensure_ascii=False)
-        fh.write("\n")
+        fh.write(json_text(payload))
     return path

@@ -24,15 +24,11 @@ from intersched.baseline import (
     time_to_arrive,
     verdict_table,
 )
-from intersched.core import SeededRng, mph_to_fps, mph_to_fps_truncated
+from intersched.core import SeededRng, mph_to_fps
 
 CFG = GridConfig()
 # every field that shapes the geometry moved off its default
 ODD_CFG = GridConfig(cell_ft=10.0, intersection_band=(45, 54), feeder_range=(3, 30))
-
-
-def _fps(compat_int_fps):
-    return (mph_to_fps_truncated if compat_int_fps else mph_to_fps)(BASELINE_SPEED_MPH)
 
 
 class TestGridConfig:
@@ -70,10 +66,6 @@ class TestTiming:
         t = time_to_arrive(30, 5, mph_to_fps(BASELINE_SPEED_MPH))
         assert t == pytest.approx(4.473869318181818, abs=1e-9)
 
-    def test_twenty_five_cells_truncated_fps(self):
-        t = time_to_arrive(30, 5, mph_to_fps_truncated(BASELINE_SPEED_MPH))
-        assert t == pytest.approx(4.494297945205479, abs=1e-4)
-
     def test_zero_distance(self):
         assert time_to_arrive(5, 5, 100.0) == 0.0
 
@@ -82,9 +74,6 @@ class TestTiming:
             time_to_arrive(4, 5, 100.0)
 
     def test_point_occupation(self):
-        assert point_occupation_time(CELL_FT, mph_to_fps_truncated(100.0)) == pytest.approx(
-            0.17977, abs=1e-5
-        )
         assert point_occupation_time(CELL_FT, mph_to_fps(100.0)) == pytest.approx(
             0.178955, abs=1e-6
         )
@@ -270,14 +259,17 @@ class TestWaitingPropagation:
         assert cars[1].waiting_s == len(conflicts) * WAIT_PENALTY_S
 
 
+# The exact-speed cases below keep the ids they had while a truncated grid
+# speed ran beside them as a `True` arm; "False" marks the one speed left.
+
+
 class TestVectorizedAgreement:
-    @pytest.mark.parametrize("seed", [0, 3, 9])
-    @pytest.mark.parametrize("compat", [False, True])
-    def test_matrix_matches_event_scan(self, seed, compat):
+    @pytest.mark.parametrize("seed", [pytest.param(s, id=f"False-{s}") for s in (0, 3, 9)])
+    def test_matrix_matches_event_scan(self, seed):
         cars = place_vehicles(CFG, 50, SeededRng(seed))
         east, south = cars[:25], cars[25:]
-        mask = conflict_matrix(east, south, CFG, compat_int_fps=compat)
-        events = meeting_events(cars, CFG, compat_int_fps=compat)
+        mask = conflict_matrix(east, south, CFG)
+        events = meeting_events(cars, CFG)
         assert len(events) == mask.size
         for ev in events:
             i = ev.car_a
@@ -308,10 +300,10 @@ def _at_or_behind(lane, pos):
     return ((lane[None, :] == lane[:, None]) & (pos[None, :] <= pos[:, None])).sum(axis=1)
 
 
-def _oracle_conflict_matrix(east, south, cfg, compat_int_fps=False):
+def _oracle_conflict_matrix(east, south, cfg):
     """Every pair's occupancy intervals evaluated on float (n_east, n_south)
     arrays: the kernel `conflict_matrix` replaced with a table lookup."""
-    fps = _fps(compat_int_fps)
+    fps = mph_to_fps(BASELINE_SPEED_MPH)
     ex = np.array([c.x for c in east], dtype=np.float64)
     ey = np.array([c.y for c in east], dtype=np.float64)
     sx = np.array([c.x for c in south], dtype=np.float64)
@@ -323,13 +315,13 @@ def _oracle_conflict_matrix(east, south, cfg, compat_int_fps=False):
     return ~((arrive_e > leave_s) | (leave_e < arrive_s))
 
 
-def _oracle_run_single(cfg, n, rng, compat_int_fps):
+def _oracle_run_single(cfg, n, rng):
     """One run with the oracle mask and the lane tails counted pairwise."""
     cars = place_vehicles(cfg, n, rng)
     east, south = cars[: n // 2], cars[n // 2 :]
     if not east or not south:
         return 0, 0.0
-    mask = _oracle_conflict_matrix(east, south, cfg, compat_int_fps)
+    mask = _oracle_conflict_matrix(east, south, cfg)
     behind_e = _at_or_behind(np.array([c.y for c in east]), np.array([c.x for c in east]))
     behind_s = _at_or_behind(np.array([c.x for c in south]), np.array([c.y for c in south]))
     conflicts_e = mask.sum(axis=1)
@@ -341,28 +333,26 @@ def _oracle_run_single(cfg, n, rng, compat_int_fps):
     return errors, total_waiting
 
 
-ORACLE_CASES = [pytest.param(CFG, n, id=f"default-{n}") for n in (2, 50, 724, 1444)] + [
-    pytest.param(ODD_CFG, n, id=f"odd-{n}") for n in (2, 50, 280, 560)
+ORACLE_CASES = [pytest.param(CFG, n, id=f"default-{n}-False") for n in (2, 50, 724, 1444)] + [
+    pytest.param(ODD_CFG, n, id=f"odd-{n}-False") for n in (2, 50, 280, 560)
 ]
 
 
 class TestOracleAgreement:
-    @pytest.mark.parametrize("compat", [False, True])
     @pytest.mark.parametrize("cfg, n", ORACLE_CASES)
-    def test_mask_matches_float_broadcast(self, cfg, n, compat):
+    def test_mask_matches_float_broadcast(self, cfg, n):
         for seed in (0, 5, 42):
             cars = place_vehicles(cfg, n, SeededRng(seed))
             east, south = cars[: n // 2], cars[n // 2 :]
-            mask = conflict_matrix(east, south, cfg, compat_int_fps=compat)
+            mask = conflict_matrix(east, south, cfg)
             assert mask.dtype == bool and mask.shape == (n // 2, n // 2)
-            assert np.array_equal(mask, _oracle_conflict_matrix(east, south, cfg, compat))
+            assert np.array_equal(mask, _oracle_conflict_matrix(east, south, cfg))
 
-    @pytest.mark.parametrize("compat", [False, True])
     @pytest.mark.parametrize("cfg, n", ORACLE_CASES)
-    def test_reports_match_by_repr(self, cfg, n, compat, monkeypatch):
-        report = run_baseline(cfg, n, runs=3, rng=SeededRng(n), compat_int_fps=compat)
+    def test_reports_match_by_repr(self, cfg, n, monkeypatch):
+        report = run_baseline(cfg, n, runs=3, rng=SeededRng(n))
         monkeypatch.setattr(baseline, "_run_single", _oracle_run_single)
-        oracle = run_baseline(cfg, n, runs=3, rng=SeededRng(n), compat_int_fps=compat)
+        oracle = run_baseline(cfg, n, runs=3, rng=SeededRng(n))
         assert repr(report) == repr(oracle)
 
     @pytest.mark.parametrize(
@@ -381,13 +371,13 @@ class TestOracleAgreement:
 
 
 class TestVerdictTable:
-    @pytest.mark.parametrize("compat, misses", [(False, 20), (True, 16)])
-    def test_float_rule_misses_touching_cells(self, compat, misses):
+    @pytest.mark.parametrize("misses", [pytest.param(20, id="False-20")])
+    def test_float_rule_misses_touching_cells(self, misses):
         # With one speed the closed intervals overlap exactly when the two
         # distances differ by at most 1. The float table agrees except where
         # they differ by exactly 1 and the intervals only touch: there
         # rounding decides, and some touching pairs read "no conflict".
-        table = verdict_table(CFG, _fps(compat))
+        table = verdict_table(CFG)
         shortest = CFG.intersection_band[0] - CFG.feeder_range[1]
         longest = CFG.intersection_band[1] - CFG.feeder_range[0]
         d = np.arange(shortest, longest + 1)
@@ -401,18 +391,9 @@ class TestVerdictTable:
         assert touching.sum() == 110
         assert np.count_nonzero(~reachable[touching]) == misses
 
-    def test_fps_modes_differ_in_touching_cells_only(self):
-        # so --compat-int-fps still changes outputs: 16 touching cells flip,
-        # 10 of them to "conflict", which nets the 20 vs 16 misses above
-        exact_fps, truncated = verdict_table(CFG, _fps(False)), verdict_table(CFG, _fps(True))
-        d_e, d_s = np.nonzero(exact_fps != truncated)
-        assert len(d_e) == 16
-        assert (np.abs(d_e - d_s) == 1).all()
-        assert np.count_nonzero(truncated[d_e, d_s]) == 10
-
     def test_cached_and_read_only(self):
-        table = verdict_table(CFG, _fps(False))
-        assert verdict_table(GridConfig(), _fps(False)) is table
+        table = verdict_table(CFG)
+        assert verdict_table(GridConfig()) is table
         with pytest.raises(ValueError):
             table[0, 0] = False
 

@@ -6,10 +6,19 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from intersched.baseline import CELL_FT, WAIT_PENALTY_S
 from intersched.cli import DEFAULT_SEED, build_parser, load_config, main, reproduce_all
-from intersched.core import LaneId, SeededRng
-from intersched.flows import PatternKind, waiting_pct
-from intersched.prodline import build_demand, run_prodline, verify_no_collisions
+from intersched.core import LaneId, SeededRng, mph_to_fps
+from intersched.flows import QUEUE_SLOT_S, PatternKind, waiting_pct
+from intersched.prodline import (
+    NUM_SPOTS,
+    RUN_SECONDS,
+    SPEED_BAND_MPH,
+    SPOT_LENGTH_FT,
+    build_demand,
+    run_prodline,
+    verify_no_collisions,
+)
 from intersched.turns import TurnPredictor
 
 
@@ -37,6 +46,30 @@ class TestParsing:
     def test_default_seed(self):
         args = build_parser().parse_args(["prodline"])
         assert args.seed == DEFAULT_SEED
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["baseline", "--vehicles", "50", "--compat-int-fps"], ["reproduce", "--all"]],
+        ids=["baseline-compat-int-fps", "reproduce-all"],
+    )
+    def test_removed_flags_exit_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
+    def test_help_figures_are_the_constants(self):
+        # each figure `intersched --help` prints equals the constant it names
+        epilog = build_parser().format_help().split("model constants:\n")[1]
+        rows = [line.split(maxsplit=1) for line in epilog.splitlines()]
+        (length, _), (count, _), (band, band_text), (fps, _), (penalty, _), (slot, _) = rows
+        assert float(length) == SPOT_LENGTH_FT == CELL_FT
+        assert int(count) == NUM_SPOTS == RUN_SECONDS
+        assert tuple(float(edge) for edge in band.split("-")) == SPEED_BAND_MPH
+        average = float(band_text.split()[-1])
+        assert average == sum(SPEED_BAND_MPH) / 2 == 62.5
+        assert float(fps) == round(mph_to_fps(average), 5)
+        assert float(penalty) == WAIT_PENALTY_S
+        assert float(slot) == QUEUE_SLOT_S
 
 
 class TestBaselineCommand:
@@ -66,13 +99,6 @@ class TestBaselineCommand:
         # the file holds the bytes the command writes to stdout without --out
         _, stdout_csv, _ = run_cli(capsys, "baseline", "--vehicles", "50", "--runs", "2")
         assert target.read_bytes() == stdout_csv.encode()
-
-    def test_compat_flag_changes_the_numbers(self, capsys):
-        _, exact, _ = run_cli(capsys, "baseline", "--vehicles", "300", "--runs", "3", "--seed", "4")
-        _, compat, _ = run_cli(
-            capsys, "baseline", "--vehicles", "300", "--runs", "3", "--seed", "4", "--compat-int-fps"
-        )
-        assert exact != compat
 
 
 class TestProdlineCommand:
@@ -365,6 +391,15 @@ class TestFlowCommand:
         run_cli(capsys, "flow", "--pattern", "random", "--seed", "5", "--out", str(target))
         assert json.loads(target.read_text(encoding="utf-8")) == json.loads(out_a)
 
+    @pytest.mark.parametrize("pattern", [kind.value for kind in PatternKind])
+    def test_out_file(self, tmp_path, capsys, pattern):
+        target = tmp_path / "flow.json"
+        code, out, _ = run_cli(capsys, "flow", "--pattern", pattern, "--out", str(target))
+        assert (code, out) == (0, f"{target}\n")
+        # the file holds the bytes the command writes to stdout without --out
+        _, stdout_json, _ = run_cli(capsys, "flow", "--pattern", pattern)
+        assert target.read_bytes() == stdout_json.encode()
+
 
 class TestKnnCommands:
     def test_init_then_predict(self, tmp_path, capsys):
@@ -408,7 +443,7 @@ class TestReproduce:
     def test_tree_contents(self, tmp_path, capsys):
         out_dir = tmp_path / "repro"
         code, out, _ = run_cli(
-            capsys, "reproduce", "--all", "--seed", "7", "--out-dir", str(out_dir)
+            capsys, "reproduce", "--seed", "7", "--out-dir", str(out_dir)
         )
         assert code == 0
         names = {p.name for p in out_dir.iterdir()}
@@ -451,6 +486,6 @@ class TestReproduce:
 
     def test_env_var_sets_default_out_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("INTERSCHED_OUT_DIR", str(tmp_path))
-        code, _, _ = run_cli(capsys, "reproduce", "--all", "--seed", "3")
+        code, _, _ = run_cli(capsys, "reproduce", "--seed", "3")
         assert code == 0
         assert (tmp_path / "reproduction" / "comparison.csv").exists()

@@ -4,14 +4,12 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
 from intersched.core import (
     LaneId,
     SeededRng,
     Vehicle,
     mph_to_fps,
-    mph_to_fps_truncated,
     validate_features,
 )
 from intersched.prodline import LaneConfig, admit
@@ -24,31 +22,10 @@ class TestConversions:
     def test_grid_speed_fps(self):
         assert mph_to_fps(100.0) == pytest.approx(146.6667, abs=1e-3)
 
-    @pytest.mark.parametrize(
-        "mph,fps",
-        [(100.0, 146.0), (62.5, 91.0), (1.0, 1.0), (60.0, 88.0)],
-    )
-    def test_truncated_fps(self, mph, fps):
-        # double integer division: floor(ft/min) then floor(ft/s)
-        assert mph_to_fps_truncated(mph) == fps
-
-    def test_truncated_is_a_float(self):
-        assert isinstance(mph_to_fps_truncated(100.0), float)
-
     @pytest.mark.parametrize("bad", [0.0, -5.0, math.inf, math.nan])
     def test_rejects_nonpositive_or_nonfinite(self, bad):
         with pytest.raises(ValueError):
             mph_to_fps(bad)
-        with pytest.raises(ValueError):
-            mph_to_fps_truncated(bad)
-
-    @given(st.floats(min_value=0.5, max_value=500.0, allow_nan=False))
-    def test_truncation_never_exceeds_exact(self, mph):
-        exact = mph_to_fps(mph)
-        trunc = mph_to_fps_truncated(mph)
-        assert trunc <= exact
-        # each of the two floors discards less than one unit
-        assert exact - trunc < 1.0 + 1.0 / 60.0
 
 
 class TestSeededRng:
