@@ -14,6 +14,9 @@ test once per distance pair, and `conflict_matrix` looks every pair up in
 it. Lanes fill from the feeder's first cell, so the cars at or behind a car
 in its lane number its feeder offset + 1; the lane tail needs no pairwise
 count.
+
+numpy is imported inside the functions that use it, so importing this
+module leaves it unloaded; the first grid run loads it.
 """
 
 from __future__ import annotations
@@ -22,10 +25,12 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import SeededRng, SpeedFps, _require, mph_to_fps
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CELL_FT = 26.2467
 WAIT_PENALTY_S = 5.58
@@ -256,6 +261,8 @@ def verdict_table(cfg: GridConfig) -> np.ndarray:
     d * cell_ft / GRID_FPS, the arithmetic `meeting_events` uses. Cached,
     because every run of a sweep shares one config.
     """
+    import numpy as np
+
     occ = point_occupation_time(cfg.cell_ft, GRID_FPS)
     longest = cfg.intersection_band[1] - cfg.feeder_range[0]
     arrivals = [time_to_arrive(d, 0, GRID_FPS, cfg.cell_ft) for d in range(longest + 1)]
@@ -270,6 +277,8 @@ def _grid_coords(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The cars' x and y as integer arrays, each car checked to lie inside
     x_range x y_range: a car outside it meets no pair of the other flow."""
+    import numpy as np
+
     x = np.fromiter((c.x for c in cars), np.intp, len(cars))
     y = np.fromiter((c.y for c in cars), np.intp, len(cars))
     outside = (x < x_range[0]) | (x > x_range[1]) | (y < y_range[0]) | (y > y_range[1])
@@ -299,6 +308,8 @@ def conflict_matrix(east: list[PlacedVehicle], south: list[PlacedVehicle], cfg: 
 
 def _run_single(cfg: GridConfig, n: int, rng: SeededRng) -> tuple[int, float]:
     """One seeded run: (raw error count, total accumulated waiting)."""
+    import numpy as np
+
     cars = place_vehicles(cfg, n, rng)
     east = cars[: n // 2]
     south = cars[n // 2 :]

@@ -105,10 +105,12 @@ def load_config(path: Path | str | None) -> IntersectionConfig:
         return IntersectionConfig.default()
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(os.fspath(path))
+        read = parser.read(os.fspath(path), encoding="utf-8")
     except configparser.Error as exc:
         # configparser's messages span lines; an error is reported on one
         raise ValueError(" ".join(str(exc).split())) from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"config file {path}: {exc}") from None
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
     # a misspelled section would otherwise leave its lane at the defaults
@@ -363,6 +365,12 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError, LookupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ModuleNotFoundError as exc:
+        # only `baseline.py` imports numpy, on its first grid run
+        if exc.name != "numpy":
+            raise
+        print(f"error: the grid model needs numpy, which cannot be imported ({exc})", file=sys.stderr)
         return 1
 
 

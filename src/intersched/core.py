@@ -21,12 +21,16 @@ SECONDS_PER_HOUR = 3600.0
 
 
 def _require(condition: bool, message: str) -> None:
+    """For checks made once per config or call. A check made once per
+    vehicle, draw or query raises inline instead, so that its message is
+    formatted only when it fails."""
     if not condition:
         raise ValueError(message)
 
 
 def _require_positive_finite(value: float, name: str) -> None:
-    _require(math.isfinite(value) and value > 0.0, f"{name} must be positive and finite, got {value!r}")
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def mph_to_fps(speed_mph: SpeedMph) -> SpeedFps:
@@ -51,7 +55,8 @@ class SeededRng:
 
     def rand_int(self, low: int, high: int) -> int:
         """Uniform integer in the closed range [low, high]."""
-        _require(low <= high, f"empty range: low={low} > high={high}")
+        if not low <= high:
+            raise ValueError(f"empty range: low={low} > high={high}")
         return self._rng.randint(low, high)
 
     def random(self) -> float:
@@ -104,12 +109,17 @@ Features = tuple[int, int, int]
 
 def validate_features(features: Features) -> None:
     """Day in 1..5, hour in 0..23, event flag 0 or 1."""
-    _require(len(features) == 3, f"features must be (day, hour, event), got {features!r}")
+    if len(features) != 3:
+        raise ValueError(f"features must be (day, hour, event), got {features!r}")
     day, hour, event = features
-    _require(all(isinstance(v, int) for v in features), f"features must be ints, got {features!r}")
-    _require(1 <= day <= 5, f"day must be in 1..5, got {day}")
-    _require(0 <= hour <= 23, f"hour must be in 0..23, got {hour}")
-    _require(event in (0, 1), f"event must be 0 or 1, got {event}")
+    if not (isinstance(day, int) and isinstance(hour, int) and isinstance(event, int)):
+        raise ValueError(f"features must be ints, got {features!r}")
+    if not 1 <= day <= 5:
+        raise ValueError(f"day must be in 1..5, got {day}")
+    if not 0 <= hour <= 23:
+        raise ValueError(f"hour must be in 0..23, got {hour}")
+    if event not in (0, 1):
+        raise ValueError(f"event must be 0 or 1, got {event}")
 
 
 @dataclass(frozen=True)
@@ -132,6 +142,8 @@ class Vehicle:
 
     def __post_init__(self) -> None:
         _require_positive_finite(self.speed_mph, "speed_mph")
-        _require(self.arrival_s >= 0.0, f"arrival_s must be >= 0, got {self.arrival_s}")
-        _require(self.waiting_s >= 0.0, f"waiting_s must be >= 0, got {self.waiting_s}")
+        if not self.arrival_s >= 0.0:
+            raise ValueError(f"arrival_s must be >= 0, got {self.arrival_s}")
+        if not self.waiting_s >= 0.0:
+            raise ValueError(f"waiting_s must be >= 0, got {self.waiting_s}")
         validate_features(self.features)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
@@ -88,6 +89,8 @@ class IntersectionConfig:
 
     def __post_init__(self) -> None:
         _require(self.run_seconds > 0, f"run_seconds must be > 0, got {self.run_seconds}")
+        # the window's seconds are indexed, so their count must fit an index
+        _require(self.run_seconds <= sys.maxsize, f"run_seconds must be <= {sys.maxsize}, got {self.run_seconds}")
         ids = [lane.id.value for lane in self.lanes]
         _require(
             ids == [lane_id.value for lane_id in LaneId],
@@ -146,7 +149,8 @@ class ScheduleRecord:
 
 
 def gate_open(lane: LaneConfig, t: float) -> bool:
-    _require(t >= 0, f"t must be >= 0, got {t}")
+    if not t >= 0:
+        raise ValueError(f"t must be >= 0, got {t}")
     return t % 2 == lane.phase_parity
 
 
@@ -253,17 +257,18 @@ def _validate_schedule(cfg: IntersectionConfig, arrivals: Mapping[LaneId, Sequen
     for lane_id, vehicles in arrivals.items():
         seen: set[int] = set()
         for v in vehicles:
-            _require(
-                v.lane is lane_id,
-                f"vehicle {v.id} is scheduled on lane {lane_id.value} but belongs to lane {v.lane.value}",
-            )
+            if v.lane is not lane_id:
+                raise ValueError(
+                    f"vehicle {v.id} is scheduled on lane {lane_id.value} but belongs to lane {v.lane.value}"
+                )
             second = v.arrival_s
-            _require(
-                float(second).is_integer() and 0 <= second < cfg.run_seconds,
-                f"lane {lane_id.value}: arrival {second} outside whole seconds 0..{cfg.run_seconds - 1}",
-            )
+            if not (float(second).is_integer() and 0 <= second < cfg.run_seconds):
+                raise ValueError(
+                    f"lane {lane_id.value}: arrival {second} outside whole seconds 0..{cfg.run_seconds - 1}"
+                )
             s = int(second)
-            _require(s not in seen, f"lane {lane_id.value}: two vehicles scheduled at second {s}")
+            if s in seen:
+                raise ValueError(f"lane {lane_id.value}: two vehicles scheduled at second {s}")
             seen.add(s)
 
 
@@ -289,7 +294,7 @@ def run_prodline(
 
     # per lane in config order, computed once rather than per vehicle
     lane_facts = [
-        (lane, lane.id.group, lane.id.is_primary, lane.id.sibling, lane.staying_time)
+        (lane, lane.id.value, lane.id.group, lane.id.is_primary, lane.id.sibling, lane.staying_time)
         for lane in cfg.lanes
     ]
     visits = sorted(
@@ -304,7 +309,7 @@ def run_prodline(
     records: list[ScheduleRecord] = []
     turn_by_lane_second: dict[tuple[LaneId, int], TurnLabel] = {}
     for t, order, v in visits:
-        lane, group, primary, sibling, stay = lane_facts[order]
+        lane, name, group, primary, sibling, stay = lane_facts[order]
         decision = admit(v, lane)
         label: TurnLabel | None = None
         if decision.admitted:
@@ -314,7 +319,7 @@ def run_prodline(
             turn_by_lane_second[(lane.id, t)] = label
             logger.info(
                 "Vehicle %d has entered the intersection through lane [%s] with speed of %s",
-                v.id, lane.id.value, decision.assigned_speed,
+                v.id, name, decision.assigned_speed,
             )
         records.append(
             ScheduleRecord(

@@ -16,13 +16,14 @@ depends on how far it must look, not on how large the store has grown.
 
 from __future__ import annotations
 
+import io
 import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .core import Features, SeededRng, _require, validate_features
+from .core import Features, SeededRng, validate_features
 
 
 class TurnLabel(Enum):
@@ -174,6 +175,22 @@ def _append_line(path: Path, line: str) -> None:
         os.close(fd)
 
 
+def _read_lines(path: Path) -> list[str]:
+    """The file's lines, decoded as UTF-8 with universal newlines as text-mode
+    `open` reads them. A byte that is not UTF-8 is a StoreFormatError on the
+    line that holds it."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; the bad one starts a line or
+        # continues the last of them
+        before = data[: exc.start].decode("utf-8") + "?"
+        line_no = len(io.StringIO(before, newline=None).readlines())
+        raise StoreFormatError(path, line_no, f"not UTF-8 text: {exc}") from None
+    return io.StringIO(text, newline=None).readlines()
+
+
 def load_store(features_path: Path | str, labels_path: Path | str) -> InstanceStore:
     """Parse a persisted store. Blank lines are skipped; the two files must
     describe the same number of instances."""
@@ -181,29 +198,27 @@ def load_store(features_path: Path | str, labels_path: Path | str) -> InstanceSt
     labels_path = Path(labels_path)
 
     rows: list[tuple[int, tuple[int, int, int]]] = []
-    with open(features_path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise StoreFormatError(features_path, line_no, f"expected 3 fields, got {len(parts)}")
-            try:
-                day, hour, event = (int(p) for p in parts)
-            except ValueError:
-                raise StoreFormatError(features_path, line_no, f"non-integer field in {line.strip()!r}") from None
-            rows.append((line_no, (day, hour, event)))
+    for line_no, line in enumerate(_read_lines(features_path), start=1):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise StoreFormatError(features_path, line_no, f"expected 3 fields, got {len(parts)}")
+        try:
+            day, hour, event = (int(p) for p in parts)
+        except ValueError:
+            raise StoreFormatError(features_path, line_no, f"non-integer field in {line.strip()!r}") from None
+        rows.append((line_no, (day, hour, event)))
 
     labels: list[TurnLabel] = []
-    with open(labels_path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            symbol = line.strip()
-            if not symbol:
-                continue
-            try:
-                labels.append(TurnLabel.parse(symbol))
-            except ValueError:
-                raise StoreFormatError(labels_path, line_no, f"bad label {symbol!r}") from None
+    for line_no, line in enumerate(_read_lines(labels_path), start=1):
+        symbol = line.strip()
+        if not symbol:
+            continue
+        try:
+            labels.append(TurnLabel.parse(symbol))
+        except ValueError:
+            raise StoreFormatError(labels_path, line_no, f"bad label {symbol!r}") from None
 
     if len(rows) != len(labels):
         raise StoreFormatError(
@@ -231,8 +246,10 @@ def knn_predict(query: Features, store: InstanceStore, k: int = 3, rng: SeededRn
     randomness.
     """
     validate_features(query)
-    _require(k >= 1, f"k must be >= 1, got {k}")
-    _require(len(store) >= k, f"store has {len(store)} instances, need at least k={k}")
+    if not k >= 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if not len(store) >= k:
+        raise ValueError(f"store has {len(store)} instances, need at least k={k}")
 
     postings = store._postings_by_point()
     day, hour, event = query

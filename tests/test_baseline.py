@@ -1,5 +1,10 @@
 """Grid placement, crossing-point conflicts, and waiting propagation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -423,3 +428,20 @@ class TestRunBaseline:
         large = run_baseline(CFG, 200, runs=20, rng=rng.spawn(1))
         assert small.collisions_per_vehicle < large.collisions_per_vehicle
         assert small.avg_waiting_s < large.avg_waiting_s
+
+    def test_first_run_loads_numpy_in_a_fresh_interpreter(self):
+        # importing the grid model leaves numpy unloaded; its first run loads
+        # it and gives the report this interpreter computes
+        src = Path(baseline.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = (
+            "import sys\n"
+            "from intersched.baseline import GridConfig, run_baseline\n"
+            "from intersched.core import SeededRng\n"
+            "print('numpy' in sys.modules)\n"
+            "print(repr(run_baseline(GridConfig(), 100, 3, SeededRng(5))))\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        report = run_baseline(CFG, 100, runs=3, rng=SeededRng(5))
+        assert result.stdout == f"False\n{report!r}\nTrue\n"

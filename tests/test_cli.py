@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import intersched
 from intersched.baseline import CELL_FT, WAIT_PENALTY_S
 from intersched.cli import DEFAULT_SEED, build_parser, load_config, main, reproduce_all
 from intersched.core import LaneId, SeededRng, mph_to_fps
@@ -182,15 +187,28 @@ class TestProdlineCommand:
             ),
             ("[lane.A3]\nmin_speed = 1\n", "unknown sections ['lane.A3']; expected [intersection] and [lane.A1]..[lane.B2]"),
             ("[DEFAULT]\nrun_seconds = 2\n", "unknown sections ['DEFAULT']; expected [intersection] and [lane.A1]..[lane.B2]"),
+            (
+                # an int, but too large to count the window's seconds with
+                "[intersection]\nrun_seconds = 99999999999999999999\n",
+                f"run_seconds must be <= {sys.maxsize}, got 99999999999999999999",
+            ),
         ],
         ids=["no-section-header", "duplicate-section", "duplicate-key", "interpolation", "bad-float", "bad-int",
-             "bad-run-seconds", "misspelled-section", "unknown-lane", "default-section"],
+             "bad-run-seconds", "misspelled-section", "unknown-lane", "default-section", "huge-run-seconds"],
     )
     def test_malformed_config_is_one_error_line(self, capsys, tmp_path, text, message):
         ini = tmp_path / "bad.ini"
         ini.write_text(text, encoding="utf-8")
         code, out, err = run_cli(capsys, "prodline", "--config", str(ini), "--out-dir", str(tmp_path))
         assert (code, out, err) == (1, "", f"error: {message.format(ini=str(ini))}\n")
+
+    def test_non_utf8_config_names_the_file(self, capsys, tmp_path):
+        ini = tmp_path / "latin1.ini"
+        ini.write_bytes(b"[intersection]\n# \xff\n")
+        code, out, err = run_cli(capsys, "prodline", "--config", str(ini), "--out-dir", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: config file {ini}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "band, message",
@@ -437,6 +455,52 @@ class TestKnnCommands:
             "--store", str(store),
         )
         assert code == 1 and "error:" in err
+
+
+class TestWithoutNumpy:
+    """Only the grid model needs numpy: without it the other commands run,
+    and the grid commands fail in one `error:` line."""
+
+    @staticmethod
+    def run_without_numpy(*argv):
+        src = Path(intersched.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from intersched import cli\n"
+            f"sys.exit(cli.main({list(argv)!r}))\n"
+        )
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["baseline", "--vehicles", "50", "--runs", "2"], ["reproduce", "--out-dir", "{tmp}/repro"]],
+        ids=["baseline", "reproduce"],
+    )
+    def test_grid_commands_fail_in_one_line(self, tmp_path, argv):
+        result = self.run_without_numpy(*(a.format(tmp=tmp_path) for a in argv))
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == (
+            "error: the grid model needs numpy, which cannot be imported "
+            "(import of numpy halted; None in sys.modules)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["prodline", "--pattern", "random", "--out-dir", "{tmp}/p"],
+            ["flow", "--pattern", "random"],
+            ["knn", "init", "--store", "{tmp}/s"],
+            ["knn", "predict", "--day", "1", "--hour", "9", "--event", "0", "--store", "{tmp}/s"],
+        ],
+        ids=["prodline", "flow", "knn-init", "knn-predict"],
+    )
+    def test_other_commands_run(self, capsys, tmp_path, argv):
+        run_cli(capsys, "knn", "init", "--store", str(tmp_path / "s"))
+        result = self.run_without_numpy(*(a.format(tmp=tmp_path) for a in argv))
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout
 
 
 class TestReproduce:

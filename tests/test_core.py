@@ -12,7 +12,9 @@ from intersched.core import (
     mph_to_fps,
     validate_features,
 )
-from intersched.prodline import LaneConfig, admit
+from intersched.flows import PatternKind
+from intersched.prodline import IntersectionConfig, LaneConfig, admit, gate_open, run_prodline
+from intersched.turns import InstanceStore, TurnPredictor, knn_predict, seed_instances
 
 
 class TestConversions:
@@ -146,3 +148,52 @@ class TestVehicle:
             Vehicle(id=1, lane=LaneId.A1, speed_mph=60.0, arrival_s=0.0, features=(9, 9, 9))
         with pytest.raises(TypeError):
             Vehicle(id=1, lane=LaneId.A1, speed_mph=60.0, arrival_s=0.0)  # features are required
+
+
+def _car(vid=1, lane=LaneId.A1, speed=63.0, arrival=0.0, waiting=0.0, features=(1, 9, 0)):
+    return Vehicle(id=vid, lane=lane, speed_mph=speed, arrival_s=arrival, features=features, waiting_s=waiting)
+
+
+def _schedule(arrivals):
+    cfg = IntersectionConfig.default()
+    return run_prodline(cfg, arrivals, TurnPredictor(), SeededRng(1), pattern=PatternKind.AVERAGE)
+
+
+class TestCheckMessages:
+    """The checks made once per vehicle, draw or query raise these exact texts."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(lambda: validate_features((1, 9)), "features must be (day, hour, event), got (1, 9)",
+                         id="features-length"),
+            pytest.param(lambda: validate_features((1, 9.0, 0)), "features must be ints, got (1, 9.0, 0)",
+                         id="features-ints"),
+            pytest.param(lambda: validate_features((6, 9, 0)), "day must be in 1..5, got 6", id="features-day"),
+            pytest.param(lambda: validate_features((1, 24, 0)), "hour must be in 0..23, got 24", id="features-hour"),
+            pytest.param(lambda: validate_features((1, 9, 2)), "event must be 0 or 1, got 2", id="features-event"),
+            pytest.param(lambda: _car(speed=math.nan), "speed_mph must be positive and finite, got nan",
+                         id="vehicle-speed"),
+            pytest.param(lambda: _car(arrival=-1.0), "arrival_s must be >= 0, got -1.0", id="vehicle-arrival"),
+            pytest.param(lambda: _car(waiting=-0.5), "waiting_s must be >= 0, got -0.5", id="vehicle-waiting"),
+            pytest.param(lambda: SeededRng(0).rand_int(3, 2), "empty range: low=3 > high=2", id="rand-int-range"),
+            pytest.param(lambda: gate_open(LaneConfig(LaneId.B1), -1), "t must be >= 0, got -1", id="gate-open-t"),
+            pytest.param(lambda: knn_predict((1, 9, 0), InstanceStore(seed_instances()), 0), "k must be >= 1, got 0",
+                         id="knn-k"),
+            pytest.param(lambda: knn_predict((1, 9, 0), InstanceStore(seed_instances()[:2])),
+                         "store has 2 instances, need at least k=3", id="knn-store-size"),
+            pytest.param(lambda: _schedule({LaneId.A2: [_car(vid=7)]}),
+                         "vehicle 7 is scheduled on lane A2 but belongs to lane A1", id="schedule-lane"),
+            pytest.param(lambda: _schedule({LaneId.A1: [_car(arrival=1.5)]}),
+                         "lane A1: arrival 1.5 outside whole seconds 0..59", id="schedule-whole-second"),
+            pytest.param(lambda: _schedule({LaneId.A1: [_car(vid=1, arrival=2.0), _car(vid=2, arrival=2.0)]}),
+                         "lane A1: two vehicles scheduled at second 2", id="schedule-duplicate-second"),
+        ],
+    )
+    def test_message_text(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
+    def test_bool_features_are_ints(self):
+        validate_features((True, 9, False))

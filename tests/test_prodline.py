@@ -37,13 +37,15 @@ STAY = 17.179657557103365  # 60 spots at the assigned 62.5 mph
 
 
 def test_scheduler_imports_without_numpy():
-    # only the grid model needs numpy; the slot scheduler and what it uses
-    # must not load it, so a fresh interpreter imports them and checks
+    # only a grid run needs numpy; the slot scheduler, what it uses, and the
+    # grid model and CLI modules themselves must not load it, so a fresh
+    # interpreter imports them all and checks
     src = Path(intersched.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     code = (
         "import sys\n"
         "import intersched.core, intersched.flows, intersched.report, intersched.prodline, intersched.turns\n"
+        "import intersched.baseline, intersched.cli\n"
         "print('numpy' in sys.modules)\n"
     )
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

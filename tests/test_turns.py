@@ -298,6 +298,15 @@ class TestStorePersistence:
             load_store(f, l)
         assert exc.value.line_no == 1
 
+    def test_non_utf8_byte_reports_file_and_line(self, tmp_path):
+        f, l = tmp_path / "features.txt", tmp_path / "labels.txt"
+        f.write_bytes(b"1 9 0\r\n2 \xff 1\n")
+        l.write_text("+\n-\n", encoding="utf-8")
+        with pytest.raises(StoreFormatError) as exc:
+            load_store(f, l)
+        assert (exc.value.path, exc.value.line_no) == (f, 2)
+        assert str(exc.value).startswith(f"{f}:2: not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_store(tmp_path / "nope.txt", tmp_path / "also-nope.txt")
