@@ -313,9 +313,6 @@ def _run_single(cfg: GridConfig, n: int, rng: SeededRng) -> tuple[int, float]:
     cars = place_vehicles(cfg, n, rng)
     east = cars[: n // 2]
     south = cars[n // 2 :]
-    if not east or not south:
-        return 0, 0.0
-
     mask = conflict_matrix(east, south, cfg)
     lo = cfg.feeder_range[0]
     # lanes fill from the feeder's first cell, so the cars at-or-behind a car

@@ -27,7 +27,7 @@ from typing import Iterable
 
 from .baseline import BaselineReport, GridConfig, run_baseline
 from .core import LaneId, SeededRng
-from .flows import LANE_CAPACITY, PatternKind, arranged_wait, generate_arrivals, waiting_pct
+from .flows import LANE_CAPACITY, MAX_HORIZON, PatternKind, arranged_wait, generate_arrivals, waiting_pct
 from .prodline import (
     RUN_SECONDS,
     IntersectionConfig,
@@ -211,6 +211,8 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     kind = PatternKind(args.pattern)
     if args.slots <= 0:
         raise ValueError(f"--slots must be > 0, got {args.slots}")
+    if args.slots > MAX_HORIZON:
+        raise ValueError(f"--slots must be <= {MAX_HORIZON}, got {args.slots}")
     if not 0 < args.take <= args.slots:
         raise ValueError(f"--take must be in 1..{args.slots}, got {args.take}")
     # --slots is the random pattern's horizon; average and worst fill one window
@@ -253,12 +255,13 @@ def _grid_lines(store: InstanceStore, skip: int) -> list[str]:
 
 def reproduce_all(seed: int, out_dir: Path) -> list[Path]:
     """Every experiment, one output tree; byte-identical for a given seed.
-    A file that a subcommand also writes comes from that subcommand's writer."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    A file that a subcommand also writes comes from that subcommand's writer.
+    `out_dir` is made after the grid sweep, so a failed sweep leaves none."""
     master = SeededRng(seed)
     written: list[Path] = []
 
     sweep = [run_baseline(GridConfig(), n, BASELINE_SWEEP_RUNS, master.spawn(i)) for i, n in enumerate(BASELINE_SWEEP_NS)]
+    out_dir.mkdir(parents=True, exist_ok=True)
     sweep_path = out_dir / "baseline_sweep.csv"
     with open(sweep_path, "w", encoding="utf-8", newline="") as fh:
         _write_baseline_csv(fh, sweep)

@@ -1,5 +1,5 @@
-"""Shared domain primitives: unit conversions, seeded randomness, and the
-vehicle record used by both intersection models.
+"""Shared domain primitives: unit conversions, seeded randomness, the
+(day, hour, event) feature lattice, and the slot scheduler's vehicle record.
 
 Speeds are plain floats tagged by the SpeedMph/SpeedFps aliases; conversions
 are the only place the unit changes hands.
@@ -106,20 +106,24 @@ _SIBLING = {LaneId.A1: LaneId.A2, LaneId.A2: LaneId.A1, LaneId.B1: LaneId.B2, La
 
 Features = tuple[int, int, int]
 
+# The closed range of each feature: day 1..5, hour 0..23, event flag 0 or 1.
+FEATURE_RANGES = ((1, 5), (0, 23), (0, 1))
+
 
 def validate_features(features: Features) -> None:
-    """Day in 1..5, hour in 0..23, event flag 0 or 1."""
+    """Each of day, hour and event an int inside its FEATURE_RANGES entry."""
     if len(features) != 3:
         raise ValueError(f"features must be (day, hour, event), got {features!r}")
     day, hour, event = features
     if not (isinstance(day, int) and isinstance(hour, int) and isinstance(event, int)):
         raise ValueError(f"features must be ints, got {features!r}")
-    if not 1 <= day <= 5:
-        raise ValueError(f"day must be in 1..5, got {day}")
-    if not 0 <= hour <= 23:
-        raise ValueError(f"hour must be in 0..23, got {hour}")
-    if event not in (0, 1):
-        raise ValueError(f"event must be 0 or 1, got {event}")
+    (day_lo, day_hi), (hour_lo, hour_hi), (event_lo, event_hi) = FEATURE_RANGES
+    if not day_lo <= day <= day_hi:
+        raise ValueError(f"day must be in {day_lo}..{day_hi}, got {day}")
+    if not hour_lo <= hour <= hour_hi:
+        raise ValueError(f"hour must be in {hour_lo}..{hour_hi}, got {hour}")
+    if not event_lo <= event <= event_hi:
+        raise ValueError(f"event must be {event_lo} or {event_hi}, got {event}")
 
 
 @dataclass(frozen=True)

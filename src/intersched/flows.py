@@ -21,6 +21,10 @@ QUEUE_SLOT_S = 5.5880
 
 LANE_CAPACITY = 30  # open slots per lane over one 60 s window
 
+# The longest horizon a run may ask for: one day of seconds (or slots). Demand
+# is held whole and random demand draws once per slot, so this bounds a run.
+MAX_HORIZON = 86_400
+
 
 class PatternKind(Enum):
     AVERAGE = "average"

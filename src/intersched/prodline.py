@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import logging
 import math
-import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-from .core import LaneId, SeededRng, SpeedMph, Vehicle, _require, mph_to_fps
-from .flows import PatternKind, generate_arrivals
+from .core import FEATURE_RANGES, LaneId, SeededRng, SpeedMph, Vehicle, _require, mph_to_fps
+from .flows import MAX_HORIZON, PatternKind, generate_arrivals
 from .report import RunReport, summarize
 from .turns import TurnLabel, TurnPredictor
 
@@ -89,8 +88,7 @@ class IntersectionConfig:
 
     def __post_init__(self) -> None:
         _require(self.run_seconds > 0, f"run_seconds must be > 0, got {self.run_seconds}")
-        # the window's seconds are indexed, so their count must fit an index
-        _require(self.run_seconds <= sys.maxsize, f"run_seconds must be <= {sys.maxsize}, got {self.run_seconds}")
+        _require(self.run_seconds <= MAX_HORIZON, f"run_seconds must be <= {MAX_HORIZON}, got {self.run_seconds}")
         ids = [lane.id.value for lane in self.lanes]
         _require(
             ids == [lane_id.value for lane_id in LaneId],
@@ -112,7 +110,7 @@ class IntersectionConfig:
         return cls(lanes=tuple(LaneConfig(lane_id) for lane_id in LaneId))
 
     def open_seconds(self, lane: LaneConfig) -> range:
-        """Seconds of the window on which `gate_open` holds for the lane."""
+        """Seconds of the window on which the lane's gate is open."""
         return range(lane.phase_parity, self.run_seconds, 2)
 
     def lane(self, lane_id: LaneId) -> LaneConfig:
@@ -148,19 +146,13 @@ class ScheduleRecord:
     waiting_s: float = 0.0
 
 
-def gate_open(lane: LaneConfig, t: float) -> bool:
-    if not t >= 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    return t % 2 == lane.phase_parity
-
-
 def admit(v: Vehicle, lane: LaneConfig) -> Decision:
     """Speed band first, then the gate at the vehicle's arrival second; an
     admitted vehicle is assigned the band average. A pure decision: the
     vehicle is not changed, so the same vehicle always gets the same answer."""
     if not (lane.min_speed <= v.speed_mph <= lane.max_speed):
         return Decision(admitted=False, reason=RejectReason.SPEED_OUT_OF_BAND)
-    if not gate_open(lane, v.arrival_s):
+    if v.arrival_s % 2 != lane.phase_parity:
         return Decision(admitted=False, reason=RejectReason.GATE_CLOSED)
     return Decision(admitted=True, assigned_speed=lane.average_speed)
 
@@ -235,7 +227,7 @@ def build_demand(
             if sibling is not None:
                 features = sibling.features
             else:
-                features = (rng.rand_int(1, 5), rng.rand_int(0, 23), rng.rand_int(0, 1))
+                features = tuple(rng.rand_int(lo, hi) for lo, hi in FEATURE_RANGES)
             if slot is not None:
                 v = Vehicle(
                     id=vid,

@@ -5,25 +5,27 @@ The classifier starts from a hand-labelled bootstrap set, predicts with
 k=3 under Euclidean distance, and appends each prediction back into its
 store so later queries see it (self-training).
 
-Features live on a 5x24x2 lattice of 240 points, so the store indexes its
-instances by lattice point and a query walks shells of equal integer squared
-distance, nearest first, instead of sorting the whole store. On this lattice
-each of the 187 possible squared distances gives a distinct float distance,
-rising with the squared distance, so the shells visit instances in exact
-distance order; within a shell, instances keep store order. A query's cost
-depends on how far it must look, not on how large the store has grown.
+Features live on the 5x24x2 lattice that `core.FEATURE_RANGES` spans, so
+the store indexes its instances by feature triple and a query walks shells of
+equal integer squared distance, nearest first, looking up the triple one step
+away, instead of sorting the whole store. On this lattice each of the 187
+possible squared distances gives a distinct float distance, rising with the
+squared distance, so the shells visit instances in exact distance order;
+within a shell, instances keep store order. A query's cost depends on how
+far it must look, not on how large the store has grown.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .core import Features, SeededRng, validate_features
+from .core import FEATURE_RANGES, Features, SeededRng, validate_features
 
 
 class TurnLabel(Enum):
@@ -82,25 +84,16 @@ class StoreFormatError(ValueError):
         self.line_no = line_no
 
 
-_LATTICE_POINTS = 5 * 24 * 2
-
-
-def _lattice_point(day: int, hour: int, event: int) -> int:
-    return ((day - 1) * 24 + hour) * 2 + event
-
-
-def _shells() -> list[tuple[tuple[int, int, int, int], ...]]:
-    """Every (dd, dh, de) a query can see on the lattice, with its lattice-point
-    offset, grouped by dd² + dh² + de² in ascending order."""
-    by_d2: defaultdict[int, list[tuple[int, int, int, int]]] = defaultdict(list)
-    for dd in range(-4, 5):
-        for dh in range(-23, 24):
-            for de in (-1, 0, 1):
-                by_d2[dd * dd + dh * dh + de * de].append((dd, dh, de, (dd * 24 + dh) * 2 + de))
+def _shells() -> list[tuple[tuple[int, int, int], ...]]:
+    """Every (dd, dh, de) step between two lattice points, grouped by
+    dd² + dh² + de² in ascending order."""
+    by_d2: defaultdict[int, list[tuple[int, int, int]]] = defaultdict(list)
+    for step in itertools.product(*(range(lo - hi, hi - lo + 1) for lo, hi in FEATURE_RANGES)):
+        by_d2[sum(d * d for d in step)].append(step)
     return [tuple(by_d2[d2]) for d2 in sorted(by_d2)]
 
 
-# One table shared by every query: 1,269 offsets in 187 shells.
+# One table shared by every query: 1,269 steps in 187 shells.
 _SHELLS = _shells()
 
 
@@ -111,33 +104,22 @@ class InstanceStore:
     Order matters: ties in distance are broken by store order, and the
     on-disk layout (one instance per line) round-trips byte-for-byte.
 
-    The lattice index behind `knn_predict` follows `instances` by catching up
-    on appended instances and rebuilding when the list is replaced or shrinks;
-    any other edit of `instances` must assign a new list.
+    The index behind `knn_predict` maps each feature triple to the store
+    indices of its instances, in store order. It is built when the store is
+    made and extended by `append`, the one way a store grows.
     """
 
     instances: list[KnnInstance] = field(default_factory=list)
     features_path: Path | None = None
     labels_path: Path | None = None
-    _postings: list[list[int]] = field(default_factory=list, init=False, repr=False, compare=False)
-    _indexed: int = field(default=0, init=False, repr=False, compare=False)
-    _indexed_list: list[KnnInstance] | None = field(default=None, init=False, repr=False, compare=False)
+    _postings: dict[Features, list[int]] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for index, inst in enumerate(self.instances):
+            self._postings.setdefault(inst.features, []).append(index)
 
     def __len__(self) -> int:
         return len(self.instances)
-
-    def _postings_by_point(self) -> list[list[int]]:
-        """Store indices of the instances at each lattice point, in store order."""
-        instances = self.instances
-        if instances is not self._indexed_list or len(instances) < self._indexed:
-            self._postings = [[] for _ in range(_LATTICE_POINTS)]
-            self._indexed = 0
-            self._indexed_list = instances
-        for index in range(self._indexed, len(instances)):
-            inst = instances[index]
-            self._postings[_lattice_point(inst.day, inst.hour, inst.event)].append(index)
-        self._indexed = len(instances)
-        return self._postings
 
     def append(self, instance: KnnInstance) -> None:
         """Add an instance; a file-backed store also appends its line to each
@@ -146,23 +128,30 @@ class InstanceStore:
         Each line is one `os.write` on a descriptor opened with `O_APPEND` and
         closed again; a missing file is created, as append mode would.
         """
+        self._postings.setdefault(instance.features, []).append(len(self.instances))
         self.instances.append(instance)
         if self.features_path is not None and self.labels_path is not None:
-            _append_line(self.features_path, f"{instance.day} {instance.hour} {instance.event}\n")
-            _append_line(self.labels_path, f"{instance.label.value}\n")
+            _append_line(self.features_path, _feature_line(instance))
+            _append_line(self.labels_path, _label_line(instance))
 
     def save(self, features_path: Path | str, labels_path: Path | str) -> None:
         """Write the whole store and bind it to the given paths."""
         features_path = Path(features_path)
         labels_path = Path(labels_path)
         with open(features_path, "w", encoding="utf-8", newline="") as fh:
-            for inst in self.instances:
-                fh.write(f"{inst.day} {inst.hour} {inst.event}\n")
+            fh.writelines(map(_feature_line, self.instances))
         with open(labels_path, "w", encoding="utf-8", newline="") as fh:
-            for inst in self.instances:
-                fh.write(f"{inst.label.value}\n")
+            fh.writelines(map(_label_line, self.instances))
         self.features_path = features_path
         self.labels_path = labels_path
+
+
+def _feature_line(inst: KnnInstance) -> str:
+    return f"{inst.day} {inst.hour} {inst.event}\n"
+
+
+def _label_line(inst: KnnInstance) -> str:
+    return f"{inst.label.value}\n"
 
 
 def _append_line(path: Path, line: str) -> None:
@@ -251,18 +240,18 @@ def knn_predict(query: Features, store: InstanceStore, k: int = 3, rng: SeededRn
     if not len(store) >= k:
         raise ValueError(f"store has {len(store)} instances, need at least k={k}")
 
-    postings = store._postings_by_point()
+    postings = store._postings
     day, hour, event = query
-    origin = _lattice_point(day, hour, event)
     neighbours: list[KnnInstance] = []
     for shell in _SHELLS:
         need = k - len(neighbours)
         found: list[int] = []
-        for dd, dh, de, offset in shell:
-            if 1 <= day + dd <= 5 and 0 <= hour + dh <= 23 and 0 <= event + de <= 1:
-                # each point's postings are in store order, so its first
-                # `need` are the only ones that can survive the merge
-                found += postings[origin + offset][:need]
+        for dd, dh, de in shell:
+            # a step off the lattice misses; a triple's postings are in store
+            # order, so only its first `need` can survive the merge
+            at = postings.get((day + dd, hour + dh, event + de))
+            if at:
+                found += at[:need]
         if found:
             found.sort()
             neighbours += [store.instances[index] for index in found[:need]]

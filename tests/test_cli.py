@@ -188,9 +188,9 @@ class TestProdlineCommand:
             ("[lane.A3]\nmin_speed = 1\n", "unknown sections ['lane.A3']; expected [intersection] and [lane.A1]..[lane.B2]"),
             ("[DEFAULT]\nrun_seconds = 2\n", "unknown sections ['DEFAULT']; expected [intersection] and [lane.A1]..[lane.B2]"),
             (
-                # an int, but too large to count the window's seconds with
+                # an int, but longer than the one-day window a run may hold
                 "[intersection]\nrun_seconds = 99999999999999999999\n",
-                f"run_seconds must be <= {sys.maxsize}, got 99999999999999999999",
+                "run_seconds must be <= 86400, got 99999999999999999999",
             ),
         ],
         ids=["no-section-header", "duplicate-section", "duplicate-key", "interpolation", "bad-float", "bad-int",
@@ -379,8 +379,12 @@ class TestFlowCommand:
             (["--pattern", "worst", "--take", "0"], "--take must be in 1..720, got 0"),
             (["--pattern", "random", "--take", "721"], "--take must be in 1..720, got 721"),
             (["--pattern", "average", "--slots", "10", "--take", "11"], "--take must be in 1..10, got 11"),
+            # a day of slots at most: the random pattern draws once per slot
+            (["--pattern", "random", "--slots", "86401"], "--slots must be <= 86400, got 86401"),
+            (["--pattern", "worst", "--slots", str(10**18)], f"--slots must be <= 86400, got {10**18}"),
         ],
-        ids=["random-slots-0", "average-slots--3", "worst-take-0", "random-take-721", "average-take-11"],
+        ids=["random-slots-0", "average-slots--3", "worst-take-0", "random-take-721", "average-take-11",
+             "random-slots-86401", "worst-slots-huge"],
     )
     def test_slots_and_take_are_checked_for_every_pattern(self, capsys, argv, message):
         assert run_cli(capsys, "flow", *argv) == (1, "", f"error: {message}\n")
@@ -485,6 +489,8 @@ class TestWithoutNumpy:
             "error: the grid model needs numpy, which cannot be imported "
             "(import of numpy halted; None in sys.modules)\n"
         )
+        # reproduce makes its output directory only once the grid sweep ran
+        assert not (tmp_path / "repro").exists()
 
     @pytest.mark.parametrize(
         "argv",

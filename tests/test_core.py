@@ -13,7 +13,7 @@ from intersched.core import (
     validate_features,
 )
 from intersched.flows import PatternKind
-from intersched.prodline import IntersectionConfig, LaneConfig, admit, gate_open, run_prodline
+from intersched.prodline import IntersectionConfig, LaneConfig, admit, run_prodline
 from intersched.turns import InstanceStore, TurnPredictor, knn_predict, seed_instances
 
 
@@ -177,7 +177,6 @@ class TestCheckMessages:
             pytest.param(lambda: _car(arrival=-1.0), "arrival_s must be >= 0, got -1.0", id="vehicle-arrival"),
             pytest.param(lambda: _car(waiting=-0.5), "waiting_s must be >= 0, got -0.5", id="vehicle-waiting"),
             pytest.param(lambda: SeededRng(0).rand_int(3, 2), "empty range: low=3 > high=2", id="rand-int-range"),
-            pytest.param(lambda: gate_open(LaneConfig(LaneId.B1), -1), "t must be >= 0, got -1", id="gate-open-t"),
             pytest.param(lambda: knn_predict((1, 9, 0), InstanceStore(seed_instances()), 0), "k must be >= 1, got 0",
                          id="knn-k"),
             pytest.param(lambda: knn_predict((1, 9, 0), InstanceStore(seed_instances()[:2])),

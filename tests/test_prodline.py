@@ -25,7 +25,6 @@ from intersched.prodline import (
     admit,
     build_demand,
     exit_second,
-    gate_open,
     run_prodline,
     verify_no_collisions,
 )
@@ -105,16 +104,20 @@ class TestStayingTime:
         assert math.isfinite(lane.staying_time) and lane.staying_time > 1e299
 
 
+def _gate_admits(lane_id, arrival):
+    decision = admit(_vehicle(lane=lane_id, arrival=arrival), CFG.lane(lane_id))
+    assert decision.reason in (None, RejectReason.GATE_CLOSED)
+    return decision.admitted
+
+
 class TestGate:
     def test_group_a_opens_even_seconds(self):
-        lane = CFG.lane(LaneId.A1)
-        assert gate_open(lane, 0) and gate_open(lane, 58)
-        assert not gate_open(lane, 1)
+        assert _gate_admits(LaneId.A1, 0.0) and _gate_admits(LaneId.A1, 58.0)
+        assert not _gate_admits(LaneId.A1, 1.0)
 
     def test_group_b_opens_odd_seconds(self):
-        lane = CFG.lane(LaneId.B2)
-        assert gate_open(lane, 1) and gate_open(lane, 59)
-        assert not gate_open(lane, 0)
+        assert _gate_admits(LaneId.B2, 1.0) and _gate_admits(LaneId.B2, 59.0)
+        assert not _gate_admits(LaneId.B2, 0.0)
 
 
 class TestAdmit:
@@ -233,6 +236,11 @@ class TestIntersectionConfig:
         message = r"lane A1: staying time 2\.147457272727273e-17 s is lost to rounding at second 1,"
         with pytest.raises(ValueError, match=message):
             IntersectionConfig(lanes=lanes, run_seconds=2)
+
+    def test_window_is_at_most_one_day(self):
+        assert IntersectionConfig(lanes=CFG.lanes, run_seconds=86_400).run_seconds == 86_400
+        with pytest.raises(ValueError, match="^run_seconds must be <= 86400, got 86401$"):
+            IntersectionConfig(lanes=CFG.lanes, run_seconds=86_401)
 
     def test_whole_valued_band_edges_are_accepted(self):
         lane = LaneConfig(LaneId.A1, min_speed=61, max_speed=64.0)
