@@ -7,13 +7,17 @@ closed occupancy intervals at that cell overlap, which charges a 5.58 s
 penalty to the blocked car and ripples the same penalty back through its
 lane. Collision and waiting figures are averaged over many seeded runs.
 
-Every car runs at one speed, so a pair's verdict depends only on two
-integers: the east car's distance to the crossing cell (south x - east x)
-and the south car's (east y - south y). `verdict_table` applies the interval
-test once per distance pair, and `conflict_matrix` looks every pair up in
-it. Lanes fill from the feeder's first cell, so the cars at or behind a car
-in its lane number its feeder offset + 1; the lane tail needs no pairwise
-count.
+A placement is two lane orders, one shuffle of the band per direction.
+Lanes fill one at a time from the feeder's first cell, so a car's lane and
+feeder offset follow from its index. Every car runs at one speed, so a
+pair's verdict depends only on two integers: the east car's distance to the
+crossing cell (south x - east x) and the south car's (east y - south y).
+`verdict_table` applies the interval test once per distance pair, and
+`conflict_matrix` computes every car's lookup key with array arithmetic and
+looks every pair up in it. The cars at or behind a car in its lane number
+its feeder offset + 1, so the lane tail needs no pairwise count. A grid run
+builds no per-car object; `PlacedVehicle`s exist only for the pairwise
+oracle (`meeting_events`, `apply_conflict_waiting`).
 
 numpy is imported inside the functions that use it, so importing this
 module leaves it unloaded; the first grid run loads it.
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -72,6 +77,10 @@ class GridConfig:
         _require(feed_lo <= feed_hi, f"bad feeder range {self.feeder_range}")
         # feeders must end strictly before the crossing band begins
         _require(feed_hi < band_lo, f"feeder {self.feeder_range} overlaps band {self.intersection_band}")
+        # the latest any car leaves its crossing cell, in `meeting_events`' arithmetic
+        occ = point_occupation_time(self.cell_ft, GRID_FPS)
+        latest = time_to_arrive(band_hi, feed_lo, GRID_FPS, self.cell_ft) + occ
+        _require(math.isfinite(latest), f"cell_ft={self.cell_ft} gives crossing times that are not finite")
 
     @property
     def feeder_len(self) -> int:
@@ -141,36 +150,72 @@ def detect_conflict(a: Interval, b: Interval) -> bool:
     return not (a.arrive > b.leave or a.leave < b.arrive)
 
 
-def place_vehicles(cfg: GridConfig, n: int, rng: SeededRng) -> list[PlacedVehicle]:
+@dataclass(frozen=True)
+class Placement:
+    """n cars on the grid, half east-bound and half south-bound, as two lane
+    orders: the band's rows in the order east lanes fill, and its columns in
+    the order south lanes fill.
+
+    Car i of each direction (0 <= i < n/2) is in lane i // feeder_len, at
+    feeder offset i % feeder_len from the feeder's first cell, so a lane
+    fills before the next one opens. Iterating a placement gives its cars
+    as `PlacedVehicle`s for the pairwise oracle, east block first with ids
+    0..n-1; they are built on first use and kept, so every pass sees the
+    same objects.
+    """
+
+    cfg: GridConfig
+    n: int
+    east_rows: tuple[int, ...]
+    south_cols: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        capacity = 2 * self.cfg.capacity_per_side
+        _require(self.n >= 0 and self.n % 2 == 0, f"n must be even and >= 0, got {self.n}")
+        _require(self.n <= capacity, f"n={self.n} exceeds capacity {capacity}")
+        band_lo, band_hi = self.cfg.intersection_band
+        for name, lanes in (("east_rows", self.east_rows), ("south_cols", self.south_cols)):
+            _require(sorted(lanes) == list(range(band_lo, band_hi + 1)), f"{name} {lanes} is not an order of the band")
+
+    @functools.cached_property
+    def cars(self) -> list[PlacedVehicle]:
+        feed_lo, feed_len, half = self.cfg.feeder_range[0], self.cfg.feeder_len, self.n // 2
+        east = [
+            PlacedVehicle(i, feed_lo + i % feed_len, self.east_rows[i // feed_len], Direction.EAST)
+            for i in range(half)
+        ]
+        south = [
+            PlacedVehicle(half + j, self.south_cols[j // feed_len], feed_lo + j % feed_len, Direction.SOUTH)
+            for j in range(half)
+        ]
+        return east + south
+
+    def __iter__(self) -> Iterator[PlacedVehicle]:
+        return iter(self.cars)
+
+    def lanes_and_offsets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each direction's car i as its lane's place in the lane order and
+        its feeder offset, as two integer arrays over i < n/2."""
+        import numpy as np
+
+        return np.divmod(np.arange(self.n // 2), self.cfg.feeder_len)
+
+
+def place_vehicles(cfg: GridConfig, n: int, rng: SeededRng) -> Placement:
     """Drop n cars on the grid, half east-bound and half south-bound.
 
-    Within each direction the feeder coordinate runs 1..38 sequentially; the
-    cross coordinate (the lane) is drawn from a shuffled copy of the band, a
-    new lane starting only once the previous one is full. Lanes therefore
-    fill one at a time, in random order.
+    Each direction's lane order is a shuffled copy of the band, east first,
+    so lanes fill one at a time, in random order.
     """
-    _require(n >= 0 and n % 2 == 0, f"n must be even and >= 0, got {n}")
-    _require(n <= 2 * cfg.capacity_per_side, f"n={n} exceeds capacity {2 * cfg.capacity_per_side}")
-
-    feed_lo, feed_len, half = cfg.feeder_range[0], cfg.feeder_len, n // 2
     band = list(range(cfg.intersection_band[0], cfg.intersection_band[1] + 1))
     east_rows = band.copy()
     rng.shuffle(east_rows)
     south_cols = band.copy()
     rng.shuffle(south_cols)
-
-    east = [
-        PlacedVehicle(i, feed_lo + i % feed_len, east_rows[i // feed_len], Direction.EAST)
-        for i in range(half)
-    ]
-    south = [
-        PlacedVehicle(half + j, south_cols[j // feed_len], feed_lo + j % feed_len, Direction.SOUTH)
-        for j in range(half)
-    ]
-    return east + south
+    return Placement(cfg, n, tuple(east_rows), tuple(south_cols))
 
 
-def meeting_events(cars: list[PlacedVehicle], cfg: GridConfig) -> list[MeetingEvent]:
+def meeting_events(cars: Iterable[PlacedVehicle], cfg: GridConfig) -> list[MeetingEvent]:
     """Enumerate every east/south pair's crossing cell with both occupancy
     intervals and the conflict verdict.
 
@@ -210,8 +255,8 @@ def meeting_events(cars: list[PlacedVehicle], cfg: GridConfig) -> list[MeetingEv
 
 
 def propagate_waiting(
-    cars: list[PlacedVehicle], blocked: int, penalty_s: float = WAIT_PENALTY_S
-) -> list[PlacedVehicle]:
+    cars: Iterable[PlacedVehicle], blocked: int, penalty_s: float = WAIT_PENALTY_S
+) -> Iterable[PlacedVehicle]:
     """Charge the blocked car and everything at-or-behind it in its lane.
 
     East lanes share a y and trail toward smaller x; south lanes share an x
@@ -233,7 +278,7 @@ def propagate_waiting(
 
 
 def apply_conflict_waiting(
-    cars: list[PlacedVehicle], events: list[MeetingEvent], penalty_s: float = WAIT_PENALTY_S
+    cars: Iterable[PlacedVehicle], events: list[MeetingEvent], penalty_s: float = WAIT_PENALTY_S
 ) -> None:
     """Charge both sides of every conflicting pair.
 
@@ -272,60 +317,42 @@ def verdict_table(cfg: GridConfig) -> np.ndarray:
     return table
 
 
-def _grid_coords(
-    cars: list[PlacedVehicle], x_range: tuple[int, int], y_range: tuple[int, int], label: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """The cars' x and y as integer arrays, each car checked to lie inside
-    x_range x y_range: a car outside it meets no pair of the other flow."""
-    import numpy as np
-
-    x = np.fromiter((c.x for c in cars), np.intp, len(cars))
-    y = np.fromiter((c.y for c in cars), np.intp, len(cars))
-    outside = (x < x_range[0]) | (x > x_range[1]) | (y < y_range[0]) | (y > y_range[1])
-    if outside.any():
-        car = cars[int(outside.argmax())]
-        raise ValueError(f"{label} car {car.id} at ({car.x}, {car.y}) lies outside x {x_range}, y {y_range}")
-    return x, y
-
-
-def conflict_matrix(east: list[PlacedVehicle], south: list[PlacedVehicle], cfg: GridConfig) -> np.ndarray:
-    """Boolean conflict verdicts for every (east, south) pair.
+def conflict_matrix(placement: Placement) -> np.ndarray:
+    """Boolean conflict verdicts for every (east, south) pair of a placement.
 
     Entry [i, j] is `verdict_table`'s entry for the pair's two distances to
     their crossing cell, sx - ex and ey - sy. With w the table's width, east
     car i has key ey - w*ex and south car j key w*sx - sy; their sum is the
     pair's index into the flattened table, so the mask is one broadcast add
-    and one take. East cars must lie in feeder x band and south cars in
-    band x feeder, else ValueError: such a pair never meets.
+    and one take. Each key comes from the car's lane and feeder offset, and
+    the placement's invariants keep every index inside the table.
     """
+    import numpy as np
+
+    cfg = placement.cfg
     table = verdict_table(cfg)
     w = table.shape[1]
-    feeder, band = cfg.feeder_range, cfg.intersection_band
-    ex, ey = _grid_coords(east, feeder, band, "east")
-    sx, sy = _grid_coords(south, band, feeder, "south")
-    return table.ravel().take((ey - w * ex)[:, None] + (w * sx - sy)[None, :])
+    lane, offset = placement.lanes_and_offsets()
+    feeder = cfg.feeder_range[0] + offset
+    east_keys = np.array(placement.east_rows)[lane] - w * feeder
+    south_keys = w * np.array(placement.south_cols)[lane] - feeder
+    return table.ravel().take(east_keys[:, None] + south_keys[None, :])
 
 
 def _run_single(cfg: GridConfig, n: int, rng: SeededRng) -> tuple[int, float]:
     """One seeded run: (raw error count, total accumulated waiting)."""
     import numpy as np
 
-    cars = place_vehicles(cfg, n, rng)
-    east = cars[: n // 2]
-    south = cars[n // 2 :]
-    mask = conflict_matrix(east, south, cfg)
-    lo = cfg.feeder_range[0]
-    # lanes fill from the feeder's first cell, so the cars at-or-behind a car
-    # in its own lane (the car itself included) number its feeder offset + 1
-    behind_e = np.fromiter((c.x for c in east), np.intp, len(east)) - lo + 1
-    behind_s = np.fromiter((c.y for c in south), np.intp, len(south)) - lo + 1
+    placement = place_vehicles(cfg, n, rng)
+    mask = conflict_matrix(placement)
+    # the cars at-or-behind a car in its own lane (the car itself included)
+    # number its feeder offset + 1; a conflict charges the car once more
+    weight = placement.lanes_and_offsets()[1] + 2
 
     conflicts_e = np.count_nonzero(mask, axis=1)  # conflicts seen from each east car
     conflicts_s = np.count_nonzero(mask, axis=0)
     errors = 2 * int(conflicts_e.sum())  # every pair is scanned once per direction
-    total_waiting = WAIT_PENALTY_S * (
-        float(conflicts_e @ (1 + behind_e)) + float(conflicts_s @ (1 + behind_s))
-    )
+    total_waiting = WAIT_PENALTY_S * (float(conflicts_e @ weight) + float(conflicts_s @ weight))
     return errors, total_waiting
 
 

@@ -21,7 +21,8 @@ import io
 import itertools
 import os
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -97,7 +98,6 @@ def _shells() -> list[tuple[tuple[int, int, int], ...]]:
 _SHELLS = _shells()
 
 
-@dataclass
 class InstanceStore:
     """Ordered collection of labelled instances, optionally file-backed.
 
@@ -106,20 +106,31 @@ class InstanceStore:
 
     The index behind `knn_predict` maps each feature triple to the store
     indices of its instances, in store order. It is built when the store is
-    made and extended by `append`, the one way a store grows.
+    made and extended by `append`, the one way a store grows: the store
+    copies the instances it is made from, and `instances` reads them back as
+    a tuple.
     """
 
-    instances: list[KnnInstance] = field(default_factory=list)
-    features_path: Path | None = None
-    labels_path: Path | None = None
-    _postings: dict[Features, list[int]] = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        for index, inst in enumerate(self.instances):
+    def __init__(
+        self,
+        instances: Iterable[KnnInstance] = (),
+        features_path: Path | None = None,
+        labels_path: Path | None = None,
+    ) -> None:
+        self._instances = list(instances)
+        self.features_path = features_path
+        self.labels_path = labels_path
+        self._postings: dict[Features, list[int]] = {}
+        for index, inst in enumerate(self._instances):
             self._postings.setdefault(inst.features, []).append(index)
 
+    @property
+    def instances(self) -> tuple[KnnInstance, ...]:
+        """The instances in store order, copied on each read."""
+        return tuple(self._instances)
+
     def __len__(self) -> int:
-        return len(self.instances)
+        return len(self._instances)
 
     def append(self, instance: KnnInstance) -> None:
         """Add an instance; a file-backed store also appends its line to each
@@ -128,8 +139,8 @@ class InstanceStore:
         Each line is one `os.write` on a descriptor opened with `O_APPEND` and
         closed again; a missing file is created, as append mode would.
         """
-        self._postings.setdefault(instance.features, []).append(len(self.instances))
-        self.instances.append(instance)
+        self._postings.setdefault(instance.features, []).append(len(self._instances))
+        self._instances.append(instance)
         if self.features_path is not None and self.labels_path is not None:
             _append_line(self.features_path, _feature_line(instance))
             _append_line(self.labels_path, _label_line(instance))
@@ -139,9 +150,9 @@ class InstanceStore:
         features_path = Path(features_path)
         labels_path = Path(labels_path)
         with open(features_path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(map(_feature_line, self.instances))
+            fh.writelines(map(_feature_line, self._instances))
         with open(labels_path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(map(_label_line, self.instances))
+            fh.writelines(map(_label_line, self._instances))
         self.features_path = features_path
         self.labels_path = labels_path
 
@@ -254,7 +265,7 @@ def knn_predict(query: Features, store: InstanceStore, k: int = 3, rng: SeededRn
                 found += at[:need]
         if found:
             found.sort()
-            neighbours += [store.instances[index] for index in found[:need]]
+            neighbours += [store._instances[index] for index in found[:need]]
             if len(neighbours) == k:
                 break
 

@@ -18,6 +18,7 @@ from intersched.baseline import (
     GridConfig,
     Interval,
     PlacedVehicle,
+    Placement,
     apply_conflict_waiting,
     conflict_matrix,
     detect_conflict,
@@ -47,6 +48,12 @@ class TestGridConfig:
     def test_feeder_must_end_before_band(self):
         with pytest.raises(ValueError):
             GridConfig(intersection_band=(30, 48), feeder_range=(1, 38))
+
+    @pytest.mark.parametrize("cell_ft", [float("inf"), 1e308])
+    def test_crossing_times_must_be_finite(self, cell_ft):
+        # infinite times would reach the first run as a malformed interval
+        with pytest.raises(ValueError, match="cell_ft"):
+            GridConfig(cell_ft=cell_ft)
 
     def test_capacity_must_match_geometry(self):
         # derived, not set: one car per feeder cell in every lane
@@ -117,7 +124,7 @@ class TestDetectConflict:
 
 class TestPlacement:
     def test_split_and_ranges(self):
-        cars = place_vehicles(CFG, 50, SeededRng(7))
+        cars = place_vehicles(CFG, 50, SeededRng(7)).cars
         east = [c for c in cars if c.direction is Direction.EAST]
         south = [c for c in cars if c.direction is Direction.SOUTH]
         assert len(east) == len(south) == 25
@@ -128,7 +135,7 @@ class TestPlacement:
             assert 40 <= c.x <= 58 and 1 <= c.y <= 38
 
     def test_small_fleet_shares_one_lane_per_direction(self):
-        cars = place_vehicles(CFG, 50, SeededRng(7))
+        cars = place_vehicles(CFG, 50, SeededRng(7)).cars
         east_rows = {c.y for c in cars[:25]}
         south_cols = {c.x for c in cars[25:]}
         assert len(east_rows) == 1
@@ -137,7 +144,7 @@ class TestPlacement:
         assert [c.y for c in cars[25:]] == list(range(1, 26))
 
     def test_second_lane_opens_after_thirty_eight(self):
-        cars = place_vehicles(CFG, 100, SeededRng(3))
+        cars = place_vehicles(CFG, 100, SeededRng(3)).cars
         east = cars[:50]
         assert len({c.y for c in east[:38]}) == 1
         assert len({c.y for c in east}) == 2
@@ -165,12 +172,28 @@ class TestPlacement:
             place_vehicles(CFG, 2 * CFG.capacity_per_side + 2, SeededRng(0))
 
     def test_zero_cars(self):
-        assert place_vehicles(CFG, 0, SeededRng(0)) == []
+        assert place_vehicles(CFG, 0, SeededRng(0)).cars == []
+
+    def test_lane_orders_are_the_two_shuffles(self):
+        placement = place_vehicles(CFG, 100, SeededRng(3))
+        rng = SeededRng(3)
+        rows, cols = list(range(40, 59)), list(range(40, 59))
+        rng.shuffle(rows)
+        rng.shuffle(cols)
+        assert placement == Placement(CFG, 100, tuple(rows), tuple(cols))
+        assert [c.y for c in placement.cars[:50]] == [rows[0]] * 38 + [rows[1]] * 12
+        assert [c.x for c in placement.cars[50:]] == [cols[0]] * 38 + [cols[1]] * 12
+
+    def test_iterating_twice_gives_the_same_cars(self):
+        placement = place_vehicles(CFG, 50, SeededRng(7))
+        first, second = list(placement), list(placement)
+        assert len(first) == len(second) == 50
+        assert all(a is b for a, b in zip(first, second))
 
     @given(st.integers(1, CFG.capacity_per_side), st.integers(0, 2**64 - 1))
     def test_lane_tail_is_the_feeder_offset_plus_one(self, half, seed):
         # the premise behind run_baseline's analytic lane tail
-        cars = place_vehicles(CFG, 2 * half, SeededRng(seed))
+        cars = place_vehicles(CFG, 2 * half, SeededRng(seed)).cars
         lo = CFG.feeder_range[0]
         east, south = cars[:half], cars[half:]
         lane_e, pos_e = np.array([c.y for c in east]), np.array([c.x for c in east])
@@ -272,8 +295,7 @@ class TestVectorizedAgreement:
     @pytest.mark.parametrize("seed", [pytest.param(s, id=f"False-{s}") for s in (0, 3, 9)])
     def test_matrix_matches_event_scan(self, seed):
         cars = place_vehicles(CFG, 50, SeededRng(seed))
-        east, south = cars[:25], cars[25:]
-        mask = conflict_matrix(east, south, CFG)
+        mask = conflict_matrix(cars)
         events = meeting_events(cars, CFG)
         assert len(events) == mask.size
         for ev in events:
@@ -287,6 +309,8 @@ class TestVectorizedAgreement:
         child = SeededRng(seed).spawn(0)
         report = run_baseline(CFG, n, runs=1, rng=SeededRng(seed))
 
+        # the oracle runs on the placement itself, as the grid precheck does:
+        # every pass over it sees the same car objects
         cars = place_vehicles(CFG, n, child)
         events = meeting_events(cars, CFG)
         apply_conflict_waiting(cars, events)
@@ -322,7 +346,7 @@ def _oracle_conflict_matrix(east, south, cfg):
 
 def _oracle_run_single(cfg, n, rng):
     """One run with the oracle mask and the lane tails counted pairwise."""
-    cars = place_vehicles(cfg, n, rng)
+    cars = place_vehicles(cfg, n, rng).cars
     east, south = cars[: n // 2], cars[n // 2 :]
     if not east or not south:
         return 0, 0.0
@@ -347,9 +371,9 @@ class TestOracleAgreement:
     @pytest.mark.parametrize("cfg, n", ORACLE_CASES)
     def test_mask_matches_float_broadcast(self, cfg, n):
         for seed in (0, 5, 42):
-            cars = place_vehicles(cfg, n, SeededRng(seed))
-            east, south = cars[: n // 2], cars[n // 2 :]
-            mask = conflict_matrix(east, south, cfg)
+            placement = place_vehicles(cfg, n, SeededRng(seed))
+            east, south = placement.cars[: n // 2], placement.cars[n // 2 :]
+            mask = conflict_matrix(placement)
             assert mask.dtype == bool and mask.shape == (n // 2, n // 2)
             assert np.array_equal(mask, _oracle_conflict_matrix(east, south, cfg))
 
@@ -360,19 +384,36 @@ class TestOracleAgreement:
         oracle = run_baseline(cfg, n, runs=3, rng=SeededRng(n))
         assert repr(report) == repr(oracle)
 
+
+BAND = tuple(range(40, 59))
+
+
+class TestPlacementValidation:
+    """A placement checks its own invariants, so every car it implies lies in
+    its feeder x band rectangle and `conflict_matrix` needs no check."""
+
     @pytest.mark.parametrize(
-        "east, south",
+        "n, rows, cols, match",
         [
-            ([_east(0, 45, 45)], [_south(1, 44, 20)]),  # east car past the column
-            ([_east(0, 0, 45)], [_south(1, 44, 20)]),  # before the feeder starts
-            ([_east(0, 30, 39)], [_south(1, 44, 20)]),  # row outside the band
-            ([_east(0, 30, 45)], [_south(1, 44, 41)]),  # south car inside the band
-            ([_east(0, 30, 45)], [_south(1, 59, 20)]),  # column outside the band
+            pytest.param(50, (39,) + BAND[1:], BAND, "east_rows", id="row-outside-band"),
+            pytest.param(50, BAND, BAND[:-1] + (59,), "south_cols", id="column-outside-band"),
+            pytest.param(50, (40,) + BAND[:-1], BAND, "east_rows", id="repeated-lane"),
+            pytest.param(50, BAND, BAND[:-1], "south_cols", id="too-few-lanes"),
+            pytest.param(51, BAND, BAND, "even", id="odd-n"),
+            pytest.param(1446, BAND, BAND, "exceeds capacity", id="oversized-n"),
         ],
     )
-    def test_cars_outside_their_rectangle_are_rejected(self, east, south):
-        with pytest.raises(ValueError, match="lies outside"):
-            conflict_matrix(east, south, CFG)
+    def test_rejects(self, n, rows, cols, match):
+        with pytest.raises(ValueError, match=match):
+            Placement(CFG, n, rows, cols)
+
+    def test_grid_runs_build_no_cars(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a grid run built a PlacedVehicle")
+
+        report = run_baseline(CFG, 1444, 2, SeededRng(1))
+        monkeypatch.setattr(baseline, "PlacedVehicle", refuse)
+        assert run_baseline(CFG, 1444, 2, SeededRng(1)) == report
 
 
 class TestVerdictTable:
@@ -421,6 +462,13 @@ class TestRunBaseline:
             run_baseline(CFG, 51, runs=1, rng=SeededRng(0))
         with pytest.raises(ValueError):
             run_baseline(CFG, 50, runs=0, rng=SeededRng(0))
+
+    def test_full_capacity_does_not_depend_on_the_seed(self):
+        # every lane is full, so the lane orders only relabel rows and columns
+        reports = {repr(run_baseline(CFG, 1444, 1, SeededRng(s))) for s in (0, 1, 42, 60317, 2**63)}
+        assert len(reports) == 1
+        below = {repr(run_baseline(CFG, 1442, 1, SeededRng(s))) for s in (0, 1, 42, 60317, 2**63)}
+        assert len(below) > 1
 
     def test_congestion_grows_with_fleet_size(self):
         rng = SeededRng(8)

@@ -44,6 +44,14 @@ PINS = {
         "775ccb03bd38a6dc40c408b0aaad195be4317bc86ebc251ab21442d26ba28988"),
     "baseline-300": (["baseline", "--vehicles", "300"], False,
         "5d464c8dbf2376f2dee4e95c2152fd7bdd6d2a6174578599fbca7054f4d2ad3a"),
+    # lane boundaries: one car per direction, one car in a second lane, and
+    # every lane full
+    "baseline-2": (["baseline", "--vehicles", "2"], False,
+        "f6a80746cf224ce8231b02e146cc7241529f6ab88fe4704ed0deb5708ea82c01"),
+    "baseline-78-runs-20": (["baseline", "--vehicles", "78", "--runs", "20"], False,
+        "5d463bc028867155aa0966123ec5fa28194ec9cf8b38db5228767819df425b91"),
+    "baseline-1444-runs-3": (["baseline", "--vehicles", "1444", "--runs", "3"], False,
+        "438ce31cdf7b5b96447789ce9cce93e11c731e1353b85246200c97a9ba59ff41"),
 }
 
 

@@ -55,6 +55,20 @@ class TestBootstrap:
         a.append(KnnInstance(1, 1, 0, RIGHT))
         assert len(a) == 10 and len(b) == 9
 
+    def test_append_is_the_only_way_in(self):
+        # the triple index follows only appends, so nothing else may add
+        instances = seed_instances()
+        store = InstanceStore(instances)
+        instances.append(KnnInstance(1, 1, 0, RIGHT))
+        assert len(store) == 9 and store.instances == tuple(seed_instances())
+        with pytest.raises(AttributeError):
+            store.instances.append(KnnInstance(1, 1, 0, RIGHT))
+        with pytest.raises(AttributeError):
+            store.instances = ()
+        store.append(KnnInstance(1, 1, 0, RIGHT))
+        assert store.instances[-1] == KnnInstance(1, 1, 0, RIGHT)
+        assert knn_predict((1, 1, 0), store, k=1) is RIGHT
+
 
 class TestKnnPredict:
     def test_morning_weekday_is_right_turn(self):
@@ -197,7 +211,7 @@ class TestLatticeIndex:
             for store in stores.values():
                 store.append(KnnInstance(*query, label))
         assert (ties > 0) == (k % 2 == 0), ties
-        assert load_store(f, l).instances == instances
+        assert load_store(f, l).instances == tuple(instances)
 
 
 class TestStorePersistence:
