@@ -8,5 +8,5 @@ right-turn classifier, and deterministic reporting.
 
 The API is imported from the submodules (`intersched.prodline`,
 `intersched.baseline`, ...); this module re-exports nothing, so importing
-the slot scheduler does not load the grid model or numpy.
+the slot scheduler does not load the grid model.
 """

@@ -12,15 +12,13 @@ Lanes fill one at a time from the feeder's first cell, so a car's lane and
 feeder offset follow from its index. Every car runs at one speed, so a
 pair's verdict depends only on two integers: the east car's distance to the
 crossing cell (south x - east x) and the south car's (east y - south y).
-`verdict_table` applies the interval test once per distance pair, and
-`conflict_matrix` computes every car's lookup key with array arithmetic and
-looks every pair up in it. The cars at or behind a car in its lane number
-its feeder offset + 1, so the lane tail needs no pairwise count. A grid run
-builds no per-car object; `PlacedVehicle`s exist only for the pairwise
-oracle (`meeting_events`, `apply_conflict_waiting`).
-
-numpy is imported inside the functions that use it, so importing this
-module leaves it unloaded; the first grid run loads it.
+`verdict_table` applies the interval test once per distance pair. The cars
+of one east lane and one south lane cover a rectangle of that table, so
+`conflict_matrix` sums a run lane pair by lane pair from prefix sums of the
+table. The cars at or behind a car in its lane number its feeder offset + 1,
+so the lane tail needs no pairwise count either. A grid run builds no
+per-car object; `PlacedVehicle`s exist only for the pairwise oracle
+(`meeting_events`, `apply_conflict_waiting`).
 """
 
 from __future__ import annotations
@@ -30,12 +28,8 @@ import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
 
 from .core import SeededRng, SpeedFps, _require, mph_to_fps
-
-if TYPE_CHECKING:
-    import numpy as np
 
 CELL_FT = 26.2467
 WAIT_PENALTY_S = 5.58
@@ -193,13 +187,6 @@ class Placement:
     def __iter__(self) -> Iterator[PlacedVehicle]:
         return iter(self.cars)
 
-    def lanes_and_offsets(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each direction's car i as its lane's place in the lane order and
-        its feeder offset, as two integer arrays over i < n/2."""
-        import numpy as np
-
-        return np.divmod(np.arange(self.n // 2), self.cfg.feeder_len)
-
 
 def place_vehicles(cfg: GridConfig, n: int, rng: SeededRng) -> Placement:
     """Drop n cars on the grid, half east-bound and half south-bound.
@@ -296,9 +283,9 @@ def apply_conflict_waiting(
 
 
 @functools.lru_cache(maxsize=8)
-def verdict_table(cfg: GridConfig) -> np.ndarray:
-    """Read-only conflict verdicts indexed [d_e, d_s] by the east and south
-    cars' distances in cells to their shared crossing cell.
+def verdict_table(cfg: GridConfig) -> tuple[tuple[bool, ...], ...]:
+    """Conflict verdicts indexed [d_e][d_s] by the east and south cars'
+    distances in cells to their shared crossing cell.
 
     Both axes run 0..band end - feeder start, the longest distance a car in
     its feeder x band rectangle can have. Each entry is `detect_conflict` on
@@ -306,54 +293,89 @@ def verdict_table(cfg: GridConfig) -> np.ndarray:
     d * cell_ft / GRID_FPS, the arithmetic `meeting_events` uses. Cached,
     because every run of a sweep shares one config.
     """
-    import numpy as np
-
     occ = point_occupation_time(cfg.cell_ft, GRID_FPS)
     longest = cfg.intersection_band[1] - cfg.feeder_range[0]
     arrivals = [time_to_arrive(d, 0, GRID_FPS, cfg.cell_ft) for d in range(longest + 1)]
     intervals = [Interval(arrive, arrive + occ) for arrive in arrivals]
-    table = np.array([[detect_conflict(e, s) for s in intervals] for e in intervals])
-    table.flags.writeable = False
-    return table
+    return tuple(tuple(detect_conflict(e, s) for s in intervals) for e in intervals)
 
 
-def conflict_matrix(placement: Placement) -> np.ndarray:
-    """Boolean conflict verdicts for every (east, south) pair of a placement.
-
-    Entry [i, j] is `verdict_table`'s entry for the pair's two distances to
-    their crossing cell, sx - ex and ey - sy. With w the table's width, east
-    car i has key ey - w*ex and south car j key w*sx - sy; their sum is the
-    pair's index into the flattened table, so the mask is one broadcast add
-    and one take. Each key comes from the car's lane and feeder offset, and
-    the placement's invariants keep every index inside the table.
-    """
-    import numpy as np
-
-    cfg = placement.cfg
+@functools.lru_cache(maxsize=8)
+def _verdict_sums(cfg: GridConfig) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Two 2-D prefix sums over `verdict_table`: entry [a][b] of the first
+    counts the conflicts with d_e < a and d_s < b, and of the second sums
+    their d_e + d_s."""
     table = verdict_table(cfg)
-    w = table.shape[1]
-    lane, offset = placement.lanes_and_offsets()
-    feeder = cfg.feeder_range[0] + offset
-    east_keys = np.array(placement.east_rows)[lane] - w * feeder
-    south_keys = w * np.array(placement.south_cols)[lane] - feeder
-    return table.ravel().take(east_keys[:, None] + south_keys[None, :])
+    width = len(table) + 1
+    count = [[0] * width for _ in range(width)]
+    dist = [[0] * width for _ in range(width)]
+    for a, row in enumerate(table):
+        for b, verdict in enumerate(row):
+            count[a + 1][b + 1] = count[a][b + 1] + count[a + 1][b] - count[a][b] + verdict
+            dist[a + 1][b + 1] = dist[a][b + 1] + dist[a + 1][b] - dist[a][b] + (a + b) * verdict
+    return tuple(map(tuple, count)), tuple(map(tuple, dist))
+
+
+@dataclass(frozen=True)
+class ConflictTotals:
+    """A placement's (east, south) pair count, conflict count and charge: the
+    sum over conflicting pairs of both cars' feeder offset + 2. `size` and
+    `sum()` give the first two under the names perfbench's tracer reads."""
+
+    pairs: int
+    conflicts: int
+    charge: int
+
+    @property
+    def size(self) -> int:
+        return self.pairs
+
+    def sum(self) -> int:
+        return self.conflicts
+
+
+def _lanes(order: tuple[int, ...], cars: int, feeder_len: int) -> list[tuple[int, int]]:
+    """One direction's filled lanes as (band cell, cars in the lane)."""
+    full, part = divmod(cars, feeder_len)
+    return [(cell, feeder_len) for cell in order[:full]] + ([(order[full], part)] if part else [])
+
+
+def conflict_matrix(placement: Placement) -> ConflictTotals:
+    """Conflict totals over every (east, south) pair of a placement.
+
+    The east car at offset oe of the lane in row r and the south car at
+    offset os of the lane in column c are d_e = c - f - oe and d_s = r - f - os
+    cells from their crossing cell, f being the feeder's first cell. So a
+    lane pair's verdicts fill the rectangle d_e in (c - f - east cars,
+    c - f], d_s in (r - f - south cars, r - f] of `verdict_table`, and one
+    lookup per corner in `_verdict_sums` gives its conflicts k and their
+    sum of d_e + d_s; the pair's charge is (c - f + r - f + 4) * k minus
+    that sum. The placement's invariants keep every rectangle inside the
+    table.
+    """
+    cfg = placement.cfg
+    count, dist = _verdict_sums(cfg)
+    feed_lo, half = cfg.feeder_range[0], placement.n // 2
+    south = [(c - feed_lo + 1, cars) for c, cars in _lanes(placement.south_cols, half, cfg.feeder_len)]
+    conflicts = charge = 0
+    for r, east_cars in _lanes(placement.east_rows, half, cfg.feeder_len):
+        s1 = r - feed_lo + 1
+        for e1, south_cars in south:
+            e0, s0 = e1 - east_cars, s1 - south_cars
+            k = count[e1][s1] - count[e0][s1] - count[e1][s0] + count[e0][s0]
+            conflicts += k
+            charge += (e1 + s1 + 2) * k - (dist[e1][s1] - dist[e0][s1] - dist[e1][s0] + dist[e0][s0])
+    return ConflictTotals(half * half, conflicts, charge)
 
 
 def _run_single(cfg: GridConfig, n: int, rng: SeededRng) -> tuple[int, float]:
-    """One seeded run: (raw error count, total accumulated waiting)."""
-    import numpy as np
+    """One seeded run: (raw error count, total accumulated waiting).
 
-    placement = place_vehicles(cfg, n, rng)
-    mask = conflict_matrix(placement)
-    # the cars at-or-behind a car in its own lane (the car itself included)
-    # number its feeder offset + 1; a conflict charges the car once more
-    weight = placement.lanes_and_offsets()[1] + 2
-
-    conflicts_e = np.count_nonzero(mask, axis=1)  # conflicts seen from each east car
-    conflicts_s = np.count_nonzero(mask, axis=0)
-    errors = 2 * int(conflicts_e.sum())  # every pair is scanned once per direction
-    total_waiting = WAIT_PENALTY_S * (float(conflicts_e @ weight) + float(conflicts_s @ weight))
-    return errors, total_waiting
+    Every conflicting pair is scanned once per direction, so it is two
+    errors; the waiting is the penalty times the placement's charge.
+    """
+    totals = conflict_matrix(place_vehicles(cfg, n, rng))
+    return 2 * totals.conflicts, WAIT_PENALTY_S * float(totals.charge)
 
 
 def run_baseline(cfg: GridConfig, n_vehicles: int, runs: int, rng: SeededRng) -> BaselineReport:

@@ -369,12 +369,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, LookupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ModuleNotFoundError as exc:
-        # only `baseline.py` imports numpy, on its first grid run
-        if exc.name != "numpy":
-            raise
-        print(f"error: the grid model needs numpy, which cannot be imported ({exc})", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

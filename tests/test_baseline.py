@@ -1,19 +1,16 @@
 """Grid placement, crossing-point conflicts, and waiting propagation."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
+from collections import defaultdict
 
-import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from intersched import baseline
 from intersched.baseline import (
     BASELINE_SPEED_MPH,
     CELL_FT,
     WAIT_PENALTY_S,
+    ConflictTotals,
     Direction,
     GridConfig,
     Interval,
@@ -196,10 +193,8 @@ class TestPlacement:
         cars = place_vehicles(CFG, 2 * half, SeededRng(seed)).cars
         lo = CFG.feeder_range[0]
         east, south = cars[:half], cars[half:]
-        lane_e, pos_e = np.array([c.y for c in east]), np.array([c.x for c in east])
-        lane_s, pos_s = np.array([c.x for c in south]), np.array([c.y for c in south])
-        assert np.array_equal(_at_or_behind(lane_e, pos_e), pos_e - lo + 1)
-        assert np.array_equal(_at_or_behind(lane_s, pos_s), pos_s - lo + 1)
+        assert _at_or_behind([(c.y, c.x) for c in east]) == [c.x - lo + 1 for c in east]
+        assert _at_or_behind([(c.x, c.y) for c in south]) == [c.y - lo + 1 for c in south]
 
 
 def _east(car_id, x, y):
@@ -294,14 +289,16 @@ class TestWaitingPropagation:
 class TestVectorizedAgreement:
     @pytest.mark.parametrize("seed", [pytest.param(s, id=f"False-{s}") for s in (0, 3, 9)])
     def test_matrix_matches_event_scan(self, seed):
+        # with a unit penalty every car's waiting is a whole number of
+        # charges, so the oracle's float total is exact
         cars = place_vehicles(CFG, 50, SeededRng(seed))
-        mask = conflict_matrix(cars)
+        totals = conflict_matrix(cars)
         events = meeting_events(cars, CFG)
-        assert len(events) == mask.size
-        for ev in events:
-            i = ev.car_a
-            j = ev.car_b - 25
-            assert bool(mask[i, j]) == ev.conflict
+        apply_conflict_waiting(cars, events, penalty_s=1.0)
+        charge = sum(c.waiting_s for c in cars)
+        assert charge == int(charge)
+        assert totals == ConflictTotals(len(events), sum(ev.conflict for ev in events), int(charge))
+        assert (totals.size, totals.sum()) == (totals.pairs, totals.conflicts)
 
     @pytest.mark.parametrize("seed", [1, 4])
     def test_run_totals_match_pure_python(self, seed):
@@ -324,42 +321,63 @@ class TestVectorizedAgreement:
         assert report.avg_waiting_s == pytest.approx((total_waiting / 2) / n, rel=1e-12)
 
 
-def _at_or_behind(lane, pos):
-    """Per car: the cars in its own lane at or behind it, itself included."""
-    return ((lane[None, :] == lane[:, None]) & (pos[None, :] <= pos[:, None])).sum(axis=1)
+def _at_or_behind(cars):
+    """Per car, given as (lane, position): the cars in its own lane at or
+    behind it, itself included, counted pairwise."""
+    by_lane = defaultdict(list)
+    for lane, pos in cars:
+        by_lane[lane].append(pos)
+    return [sum(p <= pos for p in by_lane[lane]) for lane, pos in cars]
 
 
 def _oracle_conflict_matrix(east, south, cfg):
-    """Every pair's occupancy intervals evaluated on float (n_east, n_south)
-    arrays: the kernel `conflict_matrix` replaced with a table lookup."""
+    """Every pair's occupancy intervals evaluated in floats, one row per east
+    car: the pairwise test `verdict_table` replaced."""
     fps = mph_to_fps(BASELINE_SPEED_MPH)
-    ex = np.array([c.x for c in east], dtype=np.float64)
-    ey = np.array([c.y for c in east], dtype=np.float64)
-    sx = np.array([c.x for c in south], dtype=np.float64)
-    sy = np.array([c.y for c in south], dtype=np.float64)
-    arrive_e = (sx[None, :] - ex[:, None]) * cfg.cell_ft / fps
-    arrive_s = (ey[:, None] - sy[None, :]) * cfg.cell_ft / fps
-    leave_e = arrive_e + cfg.cell_ft / fps
-    leave_s = arrive_s + cfg.cell_ft / fps
-    return ~((arrive_e > leave_s) | (leave_e < arrive_s))
+    occ = cfg.cell_ft / fps
+    rows = []
+    for a in east:
+        row = []
+        for b in south:
+            arrive_e = (b.x - a.x) * cfg.cell_ft / fps
+            arrive_s = (a.y - b.y) * cfg.cell_ft / fps
+            row.append(not (arrive_e > arrive_s + occ or arrive_e + occ < arrive_s))
+        rows.append(row)
+    return rows
+
+
+def _oracle_pairs(placement):
+    """The oracle mask, and each car's charge per conflict (1 + the cars at
+    or behind it, counted pairwise) for the east and the south cars."""
+    half = placement.n // 2
+    east, south = placement.cars[:half], placement.cars[half:]
+    weight_e = [1 + k for k in _at_or_behind([(c.y, c.x) for c in east])]
+    weight_s = [1 + k for k in _at_or_behind([(c.x, c.y) for c in south])]
+    return _oracle_conflict_matrix(east, south, placement.cfg), weight_e, weight_s
+
+
+def _oracle_totals(placement):
+    """`ConflictTotals` summed pair by pair over the oracle mask."""
+    mask, weight_e, weight_s = _oracle_pairs(placement)
+    conflicts = charge = 0
+    for w_e, row in zip(weight_e, mask):
+        for w_s, conflict in zip(weight_s, row):
+            if conflict:
+                conflicts += 1
+                charge += w_e + w_s
+    return ConflictTotals(len(weight_e) * len(weight_s), conflicts, charge)
 
 
 def _oracle_run_single(cfg, n, rng):
-    """One run with the oracle mask and the lane tails counted pairwise."""
-    cars = place_vehicles(cfg, n, rng).cars
-    east, south = cars[: n // 2], cars[n // 2 :]
-    if not east or not south:
-        return 0, 0.0
-    mask = _oracle_conflict_matrix(east, south, cfg)
-    behind_e = _at_or_behind(np.array([c.y for c in east]), np.array([c.x for c in east]))
-    behind_s = _at_or_behind(np.array([c.x for c in south]), np.array([c.y for c in south]))
-    conflicts_e = mask.sum(axis=1)
-    conflicts_s = mask.sum(axis=0)
-    errors = 2 * int(mask.sum())
+    """One run from the oracle mask, its waiting summed per direction."""
+    mask, weight_e, weight_s = _oracle_pairs(place_vehicles(cfg, n, rng))
+    conflicts_e = [sum(row) for row in mask]
+    conflicts_s = [sum(column) for column in zip(*mask)]
     total_waiting = WAIT_PENALTY_S * (
-        float(conflicts_e @ (1 + behind_e)) + float(conflicts_s @ (1 + behind_s))
+        float(sum(k * w for k, w in zip(conflicts_e, weight_e)))
+        + float(sum(k * w for k, w in zip(conflicts_s, weight_s)))
     )
-    return errors, total_waiting
+    return 2 * sum(conflicts_e), total_waiting
 
 
 ORACLE_CASES = [pytest.param(CFG, n, id=f"default-{n}-False") for n in (2, 50, 724, 1444)] + [
@@ -372,10 +390,17 @@ class TestOracleAgreement:
     def test_mask_matches_float_broadcast(self, cfg, n):
         for seed in (0, 5, 42):
             placement = place_vehicles(cfg, n, SeededRng(seed))
-            east, south = placement.cars[: n // 2], placement.cars[n // 2 :]
-            mask = conflict_matrix(placement)
-            assert mask.dtype == bool and mask.shape == (n // 2, n // 2)
-            assert np.array_equal(mask, _oracle_conflict_matrix(east, south, cfg))
+            assert conflict_matrix(placement) == _oracle_totals(placement)
+
+    @pytest.mark.parametrize("cfg", [pytest.param(CFG, id="default"), pytest.param(ODD_CFG, id="odd")])
+    @settings(deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**64 - 1))
+    def test_every_even_n_matches_the_oracle(self, cfg, data, seed):
+        # any even n from 0 to capacity: full and partial lanes of both
+        # directions meet in every combination
+        n = 2 * data.draw(st.integers(0, cfg.capacity_per_side), label="n / 2")
+        placement = place_vehicles(cfg, n, SeededRng(seed))
+        assert conflict_matrix(placement) == _oracle_totals(placement)
 
     @pytest.mark.parametrize("cfg, n", ORACLE_CASES)
     def test_reports_match_by_repr(self, cfg, n, monkeypatch):
@@ -426,22 +451,19 @@ class TestVerdictTable:
         table = verdict_table(CFG)
         shortest = CFG.intersection_band[0] - CFG.feeder_range[1]
         longest = CFG.intersection_band[1] - CFG.feeder_range[0]
-        d = np.arange(shortest, longest + 1)
-        reachable = table[np.ix_(d, d)]
-        assert reachable.shape == (56, 56)
-        gap = np.abs(d[:, None] - d[None, :])
-        exact = gap <= 1
-        touching = gap == 1
-        assert np.array_equal(reachable[~touching], exact[~touching])
-        assert not (reachable & ~exact).any()
-        assert touching.sum() == 110
-        assert np.count_nonzero(~reachable[touching]) == misses
+        reachable = [(a, b) for a in range(shortest, longest + 1) for b in range(shortest, longest + 1)]
+        assert len(reachable) == 56 * 56
+        touching = [(a, b) for a, b in reachable if abs(a - b) == 1]
+        assert all(table[a][b] == (abs(a - b) <= 1) for a, b in reachable if abs(a - b) != 1)
+        assert len(touching) == 110
+        assert sum(not table[a][b] for a, b in touching) == misses
 
     def test_cached_and_read_only(self):
         table = verdict_table(CFG)
         assert verdict_table(GridConfig()) is table
-        with pytest.raises(ValueError):
-            table[0, 0] = False
+        assert isinstance(table, tuple) and all(isinstance(row, tuple) for row in table)
+        with pytest.raises(TypeError):
+            table[0][0] = False
 
 
 class TestRunBaseline:
@@ -476,20 +498,3 @@ class TestRunBaseline:
         large = run_baseline(CFG, 200, runs=20, rng=rng.spawn(1))
         assert small.collisions_per_vehicle < large.collisions_per_vehicle
         assert small.avg_waiting_s < large.avg_waiting_s
-
-    def test_first_run_loads_numpy_in_a_fresh_interpreter(self):
-        # importing the grid model leaves numpy unloaded; its first run loads
-        # it and gives the report this interpreter computes
-        src = Path(baseline.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        code = (
-            "import sys\n"
-            "from intersched.baseline import GridConfig, run_baseline\n"
-            "from intersched.core import SeededRng\n"
-            "print('numpy' in sys.modules)\n"
-            "print(repr(run_baseline(GridConfig(), 100, 3, SeededRng(5))))\n"
-            "print('numpy' in sys.modules)\n"
-        )
-        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        report = run_baseline(CFG, 100, runs=3, rng=SeededRng(5))
-        assert result.stdout == f"False\n{report!r}\nTrue\n"

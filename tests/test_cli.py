@@ -25,6 +25,7 @@ from intersched.prodline import (
     verify_no_collisions,
 )
 from intersched.turns import TurnPredictor
+from test_outputs import PINS
 
 
 def run_cli(capsys, *argv):
@@ -462,8 +463,8 @@ class TestKnnCommands:
 
 
 class TestWithoutNumpy:
-    """Only the grid model needs numpy: without it the other commands run,
-    and the grid commands fail in one `error:` line."""
+    """No module needs numpy: an interpreter that cannot import it runs every
+    command and writes the same bytes."""
 
     @staticmethod
     def run_without_numpy(*argv):
@@ -477,20 +478,22 @@ class TestWithoutNumpy:
         )
         return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
 
-    @pytest.mark.parametrize(
-        "argv",
-        [["baseline", "--vehicles", "50", "--runs", "2"], ["reproduce", "--out-dir", "{tmp}/repro"]],
-        ids=["baseline", "reproduce"],
-    )
-    def test_grid_commands_fail_in_one_line(self, tmp_path, argv):
-        result = self.run_without_numpy(*(a.format(tmp=tmp_path) for a in argv))
-        assert (result.returncode, result.stdout) == (1, "")
-        assert result.stderr == (
-            "error: the grid model needs numpy, which cannot be imported "
-            "(import of numpy halted; None in sys.modules)\n"
+    def test_every_pin_holds(self):
+        # every output pin of test_outputs.py, the grid commands' included
+        src = Path(intersched.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(Path(__file__).parent)])}
+        code = (
+            "import sys, tempfile\n"
+            "from pathlib import Path\n"
+            "sys.modules['numpy'] = None\n"
+            "from test_outputs import PINS, run_and_digest\n"
+            "for name, (argv, writes_tree, digest) in PINS.items():\n"
+            "    with tempfile.TemporaryDirectory() as work:\n"
+            "        print(name, run_and_digest(argv, writes_tree, Path(work)) == (0, '', digest))\n"
         )
-        # reproduce makes its output directory only once the grid sweep ran
-        assert not (tmp_path / "repro").exists()
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == "".join(f"{name} True\n" for name in PINS)
 
     @pytest.mark.parametrize(
         "argv",

@@ -52,6 +52,14 @@ PINS = {
         "5d463bc028867155aa0966123ec5fa28194ec9cf8b38db5228767819df425b91"),
     "baseline-1444-runs-3": (["baseline", "--vehicles", "1444", "--runs", "3"], False,
         "438ce31cdf7b5b96447789ce9cce93e11c731e1353b85246200c97a9ba59ff41"),
+    # where the lane-pair sums change form: exactly one full lane per
+    # direction, nine full lanes and one of 20 cars, and one lane a car short
+    "baseline-76-runs-5": (["baseline", "--vehicles", "76", "--runs", "5"], False,
+        "6633a680516d0a833d536dc0c0094ddf128a64368af0bd159d4b9c2c2c39a548"),
+    "baseline-724-runs-5": (["baseline", "--vehicles", "724", "--runs", "5"], False,
+        "0052398e80b9310021b42e5a9da73b000da3addb301737c05919014406768a4f"),
+    "baseline-1442-runs-3": (["baseline", "--vehicles", "1442", "--runs", "3"], False,
+        "e6a29e9e75297d5eb631be8faf5a77636b7b520547c86f0023b255c2a31756f3"),
 }
 
 
