@@ -1,6 +1,10 @@
 """Grid placement, crossing-point conflicts, and waiting propagation."""
 
+import os
+import subprocess
+import sys
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -491,6 +495,25 @@ class TestRunBaseline:
         assert len(reports) == 1
         below = {repr(run_baseline(CFG, 1442, 1, SeededRng(s))) for s in (0, 1, 42, 60317, 2**63)}
         assert len(below) > 1
+
+    def test_first_run_loads_numpy_in_a_fresh_interpreter(self):
+        # named for the numpy kernel the grid model once loaded lazily; it now
+        # loads no numpy at all: importing it builds no table, its first run
+        # builds the verdict sums, and the report equals this interpreter's
+        src = Path(baseline.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = (
+            "import sys\n"
+            "from intersched import baseline\n"
+            "from intersched.baseline import GridConfig, run_baseline\n"
+            "from intersched.core import SeededRng\n"
+            "print('numpy' in sys.modules, baseline._verdict_sums.cache_info().currsize)\n"
+            "print(repr(run_baseline(GridConfig(), 100, 3, SeededRng(5))))\n"
+            "print('numpy' in sys.modules, baseline._verdict_sums.cache_info().currsize)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        report = run_baseline(CFG, 100, runs=3, rng=SeededRng(5))
+        assert result.stdout == f"False 0\n{report!r}\nFalse 1\n"
 
     def test_congestion_grows_with_fleet_size(self):
         rng = SeededRng(8)

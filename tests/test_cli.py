@@ -496,6 +496,22 @@ class TestWithoutNumpy:
         assert result.stdout == "".join(f"{name} True\n" for name in PINS)
 
     @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["baseline", "--vehicles", "51", "--runs", "2"], "n_vehicles must be even and > 0, got 51"),
+            (["reproduce", "--out-dir", "{tmp}/file/repro"], "[Errno 20] Not a directory: '{tmp}/file/repro'"),
+        ],
+        ids=["baseline", "reproduce"],
+    )
+    def test_grid_commands_fail_in_one_line(self, tmp_path, argv, message):
+        # without numpy a grid command that cannot run still ends in one
+        # `error:` line, as every command does
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        result = self.run_without_numpy(*(a.format(tmp=tmp_path) for a in argv))
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == f"error: {message.format(tmp=tmp_path)}\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["prodline", "--pattern", "random", "--out-dir", "{tmp}/p"],

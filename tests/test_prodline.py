@@ -3,10 +3,15 @@
 import copy
 import logging
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import intersched
 from intersched.core import LaneId, SeededRng, Vehicle, mph_to_fps
 from intersched.flows import PatternKind
 from intersched.prodline import (
@@ -28,6 +33,21 @@ from intersched.turns import TurnLabel, TurnPredictor, seed_instances
 
 CFG = IntersectionConfig.default()
 STAY = 17.179657557103365  # 60 spots at the assigned 62.5 mph
+
+
+def test_scheduler_imports_without_numpy():
+    # no module needs numpy; a fresh interpreter imports them all and checks
+    # that none loaded it
+    src = Path(intersched.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = (
+        "import sys\n"
+        "import intersched.core, intersched.flows, intersched.report, intersched.prodline, intersched.turns\n"
+        "import intersched.baseline, intersched.cli\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"
 
 
 def _vehicle(vid=1, lane=LaneId.A1, speed=63.0, arrival=0.0):
