@@ -6,10 +6,9 @@ classifier store tools), and `reproduce` (the full sweep). Every run is a
 pure function of its seed; bare invocations use DEFAULT_SEED so they are
 reproducible too. INTERSCHED_OUT_DIR overrides the default output directory.
 
-Each output format has one writer: the baseline CSV, the prodline vehicle
-table and summary, and the flow JSON are written by the same functions
-whether a subcommand or `reproduce` asks for them, and every CSV cell's
-text comes from `report.format_cell`.
+Each output format has one writer: every CSV table, whether a subcommand
+or `reproduce` asks for it, is written by `report.write_table`, whose cells
+are `report.format_cell`'s text, and every JSON file by `report.json_text`.
 """
 
 from __future__ import annotations
@@ -17,15 +16,13 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
-import csv
 import logging
 import os
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import Iterable
 
-from .baseline import BaselineReport, GridConfig, run_baseline
+from .baseline import GridConfig, run_baseline
 from .core import LaneId, SeededRng
 from .flows import LANE_CAPACITY, MAX_HORIZON, PatternKind, arranged_wait, generate_arrivals, waiting_pct
 from .prodline import (
@@ -42,10 +39,10 @@ from .report import (
     emit_csv,
     emit_json,
     emit_schedule_csv,
-    format_cell,
     json_text,
     report_to_dict,
     summarize,
+    write_table,
 )
 from .turns import InstanceStore, TurnPredictor, knn_predict, load_store, seed_instances
 
@@ -126,18 +123,11 @@ def load_config(path: Path | str | None) -> IntersectionConfig:
     return IntersectionConfig(lanes=lanes, **top)
 
 
-def _write_baseline_csv(fh, reports: Iterable[BaselineReport]) -> None:
-    """The baseline table: a header, then one row per grid-model report."""
-    writer = csv.writer(fh)
-    writer.writerow(BASELINE_COLUMNS)
-    writer.writerows([format_cell(getattr(r, col)) for col in BASELINE_COLUMNS] for r in reports)
-
-
 def _cmd_baseline(args: argparse.Namespace) -> int:
     report = run_baseline(GridConfig(), args.vehicles, args.runs, SeededRng(args.seed))
     target = open(args.out, "w", encoding="utf-8", newline="") if args.out else contextlib.nullcontext(sys.stdout)
     with target as fh:
-        _write_baseline_csv(fh, [report])
+        write_table(fh, BASELINE_COLUMNS, [report])
     if args.out:
         print(args.out)
     return 0
@@ -196,7 +186,10 @@ def _flow_payload(kind: PatternKind, seed: int, arrivals: list[int], take: int) 
         waits, avg = [], None
     else:
         waits = arranged_wait(arrivals, min(take, len(arrivals)))
-        avg = sum(waits) / len(waits)
+        total = 0.0
+        for wait in waits:  # left to right; float sum() is compensated from Python 3.12 on
+            total += wait
+        avg = total / len(waits)
     return {
         "pattern": kind.value,
         "seed": seed,
@@ -264,7 +257,7 @@ def reproduce_all(seed: int, out_dir: Path) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     sweep_path = out_dir / "baseline_sweep.csv"
     with open(sweep_path, "w", encoding="utf-8", newline="") as fh:
-        _write_baseline_csv(fh, sweep)
+        write_table(fh, BASELINE_COLUMNS, sweep)
     written.append(sweep_path)
     # the grid model admits every car and measures no extra space
     reports = [

@@ -180,67 +180,46 @@ class LaneDemand:
 def build_demand(
     cfg: IntersectionConfig, kind: PatternKind, rng: SeededRng
 ) -> dict[LaneId, LaneDemand]:
-    """Generate per-lane requests for a pattern and pack them into open slots.
+    """Generate per-lane requests for a pattern and fill open slots in one pass.
 
-    Requests are served first-come-first-served: each takes the earliest
-    unclaimed open second at-or-after its arrival; whatever cannot fit inside
-    the window spills into `overflow`. The random pattern draws a fair coin
-    per second of the window; average and worst are the deterministic
-    one-per-slot and two-per-slot demands.
+    Requests are served first-come-first-served: an iterator over the lane's
+    open seconds moves forward to the first one at-or-after each request, and
+    a request left with none inside the window spills into `overflow`. The
+    random pattern draws a fair coin per second of the window; average and
+    worst are the deterministic one-per-slot and two-per-slot demands.
 
-    Lanes are built in config order. A vehicle draws its approach speed and,
-    on a primary lane, its feature triple; a paired lane's vehicle copies the
-    features of its sibling's same-slot vehicle when one exists. The vehicles
-    are frozen records: running the schedule decides their fate without
-    changing them.
+    Lanes are built in config order: the requests, then the shuffled ID pool,
+    then per vehicle its speed and its feature triple, which a paired lane
+    copies from its sibling's vehicle at the same slot when there is one.
+    The vehicles are frozen records: running the schedule decides their fate
+    without changing them.
     """
     demand: dict[LaneId, LaneDemand] = {}
     for lane in cfg.lanes:
         requests = generate_arrivals(kind, cfg.run_seconds, rng, parity=lane.phase_parity)
-
-        open_slots = cfg.open_seconds(lane)
-        assignments: list[tuple[int, int | None]] = []  # (request second, slot or None)
-        cursor = 0
-        for req in requests:
-            while cursor < len(open_slots) and open_slots[cursor] < req:
-                cursor += 1
-            if cursor < len(open_slots):
-                assignments.append((req, open_slots[cursor]))
-                cursor += 1
-            else:
-                assignments.append((req, None))
-
         ids = [_ID_BASE[lane.id] + i for i in range(len(requests))]
         rng.shuffle(ids)
+        sibling_features = (
+            {} if lane.id.is_primary
+            else {int(v.arrival_s): v.features for v in demand[lane.id.sibling].scheduled}
+        )
 
-        sibling_by_slot: dict[int, Vehicle] = {}
-        if not lane.id.is_primary:
-            sibling_by_slot = {
-                int(v.arrival_s): v for v in demand[lane.id.sibling].scheduled
-            }
-
+        open_slots = iter(cfg.open_seconds(lane))
+        slot = next(open_slots, None)
         scheduled: list[Vehicle] = []
         overflow: list[Vehicle] = []
-        for vid, (req, slot) in zip(ids, assignments):
+        for vid, req in zip(ids, requests):
+            while slot is not None and slot < req:
+                slot = next(open_slots, None)
             speed = float(rng.rand_int(int(lane.min_speed), int(lane.max_speed)))
-            sibling = sibling_by_slot.get(slot) if slot is not None else None
-            if sibling is not None:
-                features = sibling.features
+            features = sibling_features.get(slot) or tuple(rng.rand_int(lo, hi) for lo, hi in FEATURE_RANGES)
+            if slot is None:
+                overflow.append(Vehicle(vid, lane.id, speed, arrival_s=float(req), features=features))
             else:
-                features = tuple(rng.rand_int(lo, hi) for lo, hi in FEATURE_RANGES)
-            if slot is not None:
-                v = Vehicle(
-                    id=vid,
-                    lane=lane.id,
-                    speed_mph=speed,
-                    arrival_s=float(slot),
-                    features=features,
-                    waiting_s=float(slot - req),
+                scheduled.append(
+                    Vehicle(vid, lane.id, speed, arrival_s=float(slot), features=features, waiting_s=float(slot - req))
                 )
-                scheduled.append(v)
-            else:
-                v = Vehicle(id=vid, lane=lane.id, speed_mph=speed, arrival_s=float(req), features=features)
-                overflow.append(v)
+                slot = next(open_slots, None)
         demand[lane.id] = LaneDemand(scheduled=scheduled, overflow=overflow)
     return demand
 

@@ -12,7 +12,7 @@ import json
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .core import _require
 from .flows import PatternKind
@@ -93,6 +93,13 @@ def format_cell(value) -> str:
     return str(value)
 
 
+def write_table(fh, columns: Sequence[str], rows: Iterable) -> None:
+    """A CSV table on an open text file: the header, then each row's columns as cell text."""
+    writer = csv.writer(fh)
+    writer.writerow(columns)
+    writer.writerows([format_cell(getattr(row, col)) for col in columns] for row in rows)
+
+
 REPORT_COLUMNS = tuple(f.name for f in fields(RunReport))
 
 
@@ -102,9 +109,7 @@ def emit_csv(reports: Iterable[RunReport], path: Path | str) -> Path:
     rows = sorted(reports, key=lambda r: (r.model.value, r.n_vehicles, r.pattern.value if r.pattern else ""))
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        writer.writerows([format_cell(value) for value in asdict(row).values()] for row in rows)
+        write_table(fh, REPORT_COLUMNS, rows)
     return path
 
 
@@ -115,9 +120,7 @@ def emit_schedule_csv(records: "Iterable[ScheduleRecord]", path: Path | str) -> 
     """Per-vehicle table: id, lane, arrival, right-turn flag, exit time."""
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCHEDULE_COLUMNS)
-        writer.writerows([format_cell(getattr(r, col)) for col in SCHEDULE_COLUMNS] for r in records)
+        write_table(fh, SCHEDULE_COLUMNS, records)
     return path
 
 

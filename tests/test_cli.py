@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -572,6 +573,17 @@ class TestReproduce:
             symbols = [s for line in lines for s in line.split()]
             assert set(symbols) <= {"+", "-"}
             assert all(len(line.split()) == 10 for line in lines[:-1])
+
+    def test_queue_mean_adds_left_to_right(self, tmp_path):
+        # on seed 42's queue draw the summation order shows in the last digit:
+        # a compensated sum (math.fsum, and float sum() from Python 3.12 on)
+        # reads ...334, so every interpreter must add the waits in order
+        reproduce_all(42, tmp_path)
+        payload = json.loads((tmp_path / "flow_random_queue.json").read_text(encoding="utf-8"))
+        waits = payload["per_vehicle_wait_s"]
+        assert len(waits) == 60
+        assert math.fsum(waits) / len(waits) == 10.430933333333334
+        assert payload["avg_wait_s"] == 10.430933333333337
 
     def test_env_var_sets_default_out_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("INTERSCHED_OUT_DIR", str(tmp_path))

@@ -10,16 +10,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import intersched
-from intersched.core import LaneId, SeededRng, Vehicle, mph_to_fps
-from intersched.flows import PatternKind
+from intersched.core import FEATURE_RANGES, LaneId, SeededRng, Vehicle, mph_to_fps
+from intersched.flows import PatternKind, generate_arrivals
 from intersched.prodline import (
     NUM_SPOTS,
     RUN_SECONDS,
     SPOT_LENGTH_FT,
     IntersectionConfig,
     LaneConfig,
+    LaneDemand,
     RejectReason,
     ScheduleRecord,
     admit,
@@ -298,6 +300,78 @@ class TestBuildDemand:
         b1 = {int(v.arrival_s): v for v in demand[LaneId.B1].scheduled}
         for v in demand[LaneId.B2].scheduled:
             assert v.features == b1[int(v.arrival_s)].features
+
+
+def _two_pass_build_demand(cfg, kind, rng):
+    """Reference demand builder: packs each lane's requests into its open
+    seconds first, then reads the packing back to draw the vehicles."""
+    id_base = {LaneId.A1: 100, LaneId.A2: 200, LaneId.B1: 300, LaneId.B2: 400}
+    demand = {}
+    for lane in cfg.lanes:
+        requests = generate_arrivals(kind, cfg.run_seconds, rng, parity=lane.phase_parity)
+
+        open_slots = cfg.open_seconds(lane)
+        assignments = []  # (request second, slot or None)
+        cursor = 0
+        for req in requests:
+            while cursor < len(open_slots) and open_slots[cursor] < req:
+                cursor += 1
+            if cursor < len(open_slots):
+                assignments.append((req, open_slots[cursor]))
+                cursor += 1
+            else:
+                assignments.append((req, None))
+
+        ids = [id_base[lane.id] + i for i in range(len(requests))]
+        rng.shuffle(ids)
+
+        sibling_by_slot = {}
+        if not lane.id.is_primary:
+            sibling_by_slot = {int(v.arrival_s): v for v in demand[lane.id.sibling].scheduled}
+
+        scheduled, overflow = [], []
+        for vid, (req, slot) in zip(ids, assignments):
+            speed = float(rng.rand_int(int(lane.min_speed), int(lane.max_speed)))
+            sibling = sibling_by_slot.get(slot) if slot is not None else None
+            if sibling is not None:
+                features = sibling.features
+            else:
+                features = tuple(rng.rand_int(lo, hi) for lo, hi in FEATURE_RANGES)
+            if slot is not None:
+                scheduled.append(
+                    Vehicle(id=vid, lane=lane.id, speed_mph=speed, arrival_s=float(slot),
+                            features=features, waiting_s=float(slot - req))
+                )
+            else:
+                overflow.append(Vehicle(id=vid, lane=lane.id, speed_mph=speed, arrival_s=float(req), features=features))
+        demand[lane.id] = LaneDemand(scheduled=scheduled, overflow=overflow)
+    return demand
+
+
+_BANDS = st.tuples(st.integers(1, 120), st.integers(0, 30)).map(lambda band: (band[0], band[0] + band[1]))
+
+
+class TestOnePassMatchesTheTwoPassPacker:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(
+        bands=st.lists(_BANDS, min_size=4, max_size=4),
+        run_seconds=st.integers(1, 400),
+        kind=st.sampled_from(PatternKind),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(bands=[(60, 65)] * 4, run_seconds=1, kind=PatternKind.WORST, seed=42)
+    @example(bands=[(60, 65)] * 4, run_seconds=2, kind=PatternKind.RANDOM, seed=42)
+    @example(bands=[(40, 75)] * 4, run_seconds=59, kind=PatternKind.WORST, seed=7)
+    @example(bands=[(60, 65)] * 4, run_seconds=61, kind=PatternKind.AVERAGE, seed=7)
+    def test_same_vehicles_and_rng_state(self, bands, run_seconds, kind, seed):
+        lanes = tuple(LaneConfig(lane_id, lo, hi) for lane_id, (lo, hi) in zip(LaneId, bands))
+        cfg = IntersectionConfig(lanes=lanes, run_seconds=run_seconds)
+        rng, reference_rng = SeededRng(seed), SeededRng(seed)
+        demand = build_demand(cfg, kind, rng)
+        reference = _two_pass_build_demand(cfg, kind, reference_rng)
+        for lane_id in LaneId:
+            assert demand[lane_id] == reference[lane_id]
+        assert rng._rng.getstate() == reference_rng._rng.getstate()
 
 
 def _schedule(demand):
