@@ -110,10 +110,6 @@ class MeetingEvent:
     car_a: int
     car_b: int
     point: tuple[int, int]
-    arrive_a: float
-    leave_a: float
-    arrive_b: float
-    leave_b: float
     conflict: bool
 
 
@@ -203,8 +199,8 @@ def place_vehicles(cfg: GridConfig, n: int, rng: SeededRng) -> Placement:
 
 
 def meeting_events(cars: Iterable[PlacedVehicle], cfg: GridConfig) -> list[MeetingEvent]:
-    """Enumerate every east/south pair's crossing cell with both occupancy
-    intervals and the conflict verdict.
+    """Enumerate every east/south pair's crossing cell and whether their two
+    occupancy intervals there conflict.
 
     An east car at (w, li) meets a south car at column sx when w < sx with
     sx inside the band and the south car still in its feeder (sy <= band
@@ -224,20 +220,8 @@ def meeting_events(cars: Iterable[PlacedVehicle], cfg: GridConfig) -> list[Meeti
                 continue
             arrive_a = time_to_arrive(b.x, a.x, GRID_FPS, cfg.cell_ft)
             arrive_b = time_to_arrive(a.y, b.y, GRID_FPS, cfg.cell_ft)
-            leave_a = arrive_a + occ
-            leave_b = arrive_b + occ
-            events.append(
-                MeetingEvent(
-                    car_a=a.id,
-                    car_b=b.id,
-                    point=(b.x, a.y),
-                    arrive_a=arrive_a,
-                    leave_a=leave_a,
-                    arrive_b=arrive_b,
-                    leave_b=leave_b,
-                    conflict=detect_conflict(Interval(arrive_a, leave_a), Interval(arrive_b, leave_b)),
-                )
-            )
+            conflict = detect_conflict(Interval(arrive_a, arrive_a + occ), Interval(arrive_b, arrive_b + occ))
+            events.append(MeetingEvent(car_a=a.id, car_b=b.id, point=(b.x, a.y), conflict=conflict))
     return events
 
 

@@ -6,16 +6,16 @@ classifier store tools), and `reproduce` (the full sweep). Every run is a
 pure function of its seed; bare invocations use DEFAULT_SEED so they are
 reproducible too. INTERSCHED_OUT_DIR overrides the default output directory.
 
-Each output format has one writer: every CSV table, whether a subcommand
-or `reproduce` asks for it, is written by `report.write_table`, whose cells
-are `report.format_cell`'s text, and every JSON file by `report.json_text`.
+Every file, whether a subcommand or `reproduce` asks for it, is written by
+`report.emit_text`. Each output format has one text: every CSV table is
+`report.table_text`, whose cells are `report.format_cell`'s text, and every
+JSON output is `report.json_text`.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import contextlib
 import logging
 import os
 import sys
@@ -39,10 +39,12 @@ from .report import (
     emit_csv,
     emit_json,
     emit_schedule_csv,
+    emit_text,
     json_text,
+    mean_in_order,
     report_to_dict,
     summarize,
-    write_table,
+    table_text,
 )
 from .turns import InstanceStore, TurnPredictor, knn_predict, load_store, seed_instances
 
@@ -125,11 +127,11 @@ def load_config(path: Path | str | None) -> IntersectionConfig:
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
     report = run_baseline(GridConfig(), args.vehicles, args.runs, SeededRng(args.seed))
-    target = open(args.out, "w", encoding="utf-8", newline="") if args.out else contextlib.nullcontext(sys.stdout)
-    with target as fh:
-        write_table(fh, BASELINE_COLUMNS, [report])
+    text = table_text(BASELINE_COLUMNS, [report])
     if args.out:
-        print(args.out)
+        print(emit_text(text, args.out))
+    else:
+        sys.stdout.write(text)
     return 0
 
 
@@ -186,10 +188,7 @@ def _flow_payload(kind: PatternKind, seed: int, arrivals: list[int], take: int) 
         waits, avg = [], None
     else:
         waits = arranged_wait(arrivals, min(take, len(arrivals)))
-        total = 0.0
-        for wait in waits:  # left to right; float sum() is compensated from Python 3.12 on
-            total += wait
-        avg = total / len(waits)
+        avg = mean_in_order(waits)
     return {
         "pattern": kind.value,
         "seed": seed,
@@ -255,10 +254,7 @@ def reproduce_all(seed: int, out_dir: Path) -> list[Path]:
 
     sweep = [run_baseline(GridConfig(), n, BASELINE_SWEEP_RUNS, master.spawn(i)) for i, n in enumerate(BASELINE_SWEEP_NS)]
     out_dir.mkdir(parents=True, exist_ok=True)
-    sweep_path = out_dir / "baseline_sweep.csv"
-    with open(sweep_path, "w", encoding="utf-8", newline="") as fh:
-        write_table(fh, BASELINE_COLUMNS, sweep)
-    written.append(sweep_path)
+    written.append(emit_text(table_text(BASELINE_COLUMNS, sweep), out_dir / "baseline_sweep.csv"))
     # the grid model admits every car and measures no extra space
     reports = [
         RunReport(
@@ -281,9 +277,7 @@ def reproduce_all(seed: int, out_dir: Path) -> list[Path]:
             grids["b"] = _grid_lines(predictor.stores["B"], seeded)
 
     for group, lines in grids.items():
-        grid_path = out_dir / f"turn_grid_{group}.txt"
-        grid_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(grid_path)
+        written.append(emit_text("\n".join(lines) + "\n", out_dir / f"turn_grid_{group}.txt"))
 
     arrivals = generate_arrivals(PatternKind.RANDOM, QUEUE_SLOTS, master.spawn(20))
     payload = _flow_payload(PatternKind.RANDOM, seed, arrivals, QUEUE_TAKE)

@@ -1,14 +1,17 @@
-"""Run summaries and deterministic CSV/JSON serialization.
+"""Run summaries, deterministic CSV/JSON text, and the one file writer.
 
 Outputs carry no timestamps; the seed is the provenance key, so identical
 inputs always serialize to identical bytes. Floats are written in shortest
-round-trip decimal form.
+round-trip decimal form. Every file the program writes goes through
+`emit_text`: UTF-8, line ends as given, in one write.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -72,11 +75,33 @@ def summarize(
         n_vehicles=n,
         admitted=admitted,
         rejected=n - admitted,
-        avg_waiting_s=sum(r.waiting_s for r in records) / n if n else 0.0,
+        avg_waiting_s=mean_in_order([r.waiting_s for r in records]) if n else 0.0,
         collisions_per_vehicle=0.0,
         extra_space_pct=extra_space_pct,
         seed=seed,
     )
+
+
+def mean_in_order(values: Sequence[float]) -> float:
+    """The mean of a non-empty sequence, added left to right: float `sum()` is
+    compensated from Python 3.12 on, so it would differ by interpreter."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
+def emit_text(text: str, path: Path, *, append: bool = False) -> Path:
+    """Write `text` as UTF-8 to `path` in one write, replacing the file or, with
+    `append`, adding to its end; a missing file is created. Returns `path`."""
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | (os.O_APPEND if append else os.O_TRUNC), 0o666)
+    try:
+        if os.write(fd, data) != len(data):
+            raise OSError(f"{path}: short write")
+    finally:
+        os.close(fd)
+    return path
 
 
 def format_cell(value) -> str:
@@ -93,11 +118,13 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def write_table(fh, columns: Sequence[str], rows: Iterable) -> None:
-    """A CSV table on an open text file: the header, then each row's columns as cell text."""
-    writer = csv.writer(fh)
+def table_text(columns: Sequence[str], rows: Iterable) -> str:
+    """A CSV table: the header, then each row's columns as cell text; lines end in CRLF."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
     writer.writerow(columns)
     writer.writerows([format_cell(getattr(row, col)) for col in columns] for row in rows)
+    return buf.getvalue()
 
 
 REPORT_COLUMNS = tuple(f.name for f in fields(RunReport))
@@ -107,10 +134,7 @@ def emit_csv(reports: Iterable[RunReport], path: Path | str) -> Path:
     """One row per report, sorted by model, fleet size and pattern; stable
     column order, deterministic bytes."""
     rows = sorted(reports, key=lambda r: (r.model.value, r.n_vehicles, r.pattern.value if r.pattern else ""))
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_table(fh, REPORT_COLUMNS, rows)
-    return path
+    return emit_text(table_text(REPORT_COLUMNS, rows), Path(path))
 
 
 SCHEDULE_COLUMNS = ("vehicle_id", "lane", "arrive_s", "right_turn", "exit_s")
@@ -118,10 +142,7 @@ SCHEDULE_COLUMNS = ("vehicle_id", "lane", "arrive_s", "right_turn", "exit_s")
 
 def emit_schedule_csv(records: "Iterable[ScheduleRecord]", path: Path | str) -> Path:
     """Per-vehicle table: id, lane, arrival, right-turn flag, exit time."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_table(fh, SCHEDULE_COLUMNS, records)
-    return path
+    return emit_text(table_text(SCHEDULE_COLUMNS, records), Path(path))
 
 
 def report_to_dict(report: RunReport) -> dict:
@@ -135,7 +156,4 @@ def json_text(payload: dict) -> str:
 
 
 def emit_json(payload: dict, path: Path | str) -> Path:
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json_text(payload))
-    return path
+    return emit_text(json_text(payload), Path(path))

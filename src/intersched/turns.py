@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import io
 import itertools
-import os
 from collections import Counter, defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -27,6 +26,7 @@ from enum import Enum
 from pathlib import Path
 
 from .core import FEATURE_RANGES, Features, SeededRng, validate_features
+from .report import emit_text
 
 
 class TurnLabel(Enum):
@@ -134,25 +134,18 @@ class InstanceStore:
 
     def append(self, instance: KnnInstance) -> None:
         """Add an instance; a file-backed store also appends its line to each
-        file, features first, in the bytes `save` would write for it.
-
-        Each line is one `os.write` on a descriptor opened with `O_APPEND` and
-        closed again; a missing file is created, as append mode would.
-        """
+        file, features first, in the bytes `save` would write for it. Each
+        line is one `report.emit_text` write; a missing file is created."""
         self._postings.setdefault(instance.features, []).append(len(self._instances))
         self._instances.append(instance)
         if self.features_path is not None and self.labels_path is not None:
-            _append_line(self.features_path, _feature_line(instance))
-            _append_line(self.labels_path, _label_line(instance))
+            emit_text(_feature_line(instance), self.features_path, append=True)
+            emit_text(_label_line(instance), self.labels_path, append=True)
 
     def save(self, features_path: Path | str, labels_path: Path | str) -> None:
-        """Write the whole store and bind it to the given paths."""
-        features_path = Path(features_path)
-        labels_path = Path(labels_path)
-        with open(features_path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(map(_feature_line, self._instances))
-        with open(labels_path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(map(_label_line, self._instances))
+        """Write the whole store, then bind it to the given paths."""
+        features_path = emit_text("".join(map(_feature_line, self._instances)), Path(features_path))
+        labels_path = emit_text("".join(map(_label_line, self._instances)), Path(labels_path))
         self.features_path = features_path
         self.labels_path = labels_path
 
@@ -163,16 +156,6 @@ def _feature_line(inst: KnnInstance) -> str:
 
 def _label_line(inst: KnnInstance) -> str:
     return f"{inst.label.value}\n"
-
-
-def _append_line(path: Path, line: str) -> None:
-    data = line.encode("utf-8")
-    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
-    try:
-        if os.write(fd, data) != len(data):
-            raise OSError(f"{path}: short write appending to the store")
-    finally:
-        os.close(fd)
 
 
 def _read_lines(path: Path) -> list[str]:

@@ -230,6 +230,12 @@ class TestMeetingEvents:
         cars = [_east(0, 45, 45), _south(1, 44, 20)]
         assert meeting_events(cars, CFG) == []
 
+    def test_east_car_outside_the_band_rows_produces_no_event(self):
+        # the south car approaches the band column; the east car's row (35)
+        # lies outside the band, so their paths never cross inside it
+        cars = [_east(0, 30, 35), _south(1, 44, 20)]
+        assert meeting_events(cars, CFG) == []
+
     def test_placed_fleet_meets_every_cross_pair(self):
         cars = place_vehicles(CFG, 50, SeededRng(2))
         assert len(meeting_events(cars, CFG)) == 25 * 25

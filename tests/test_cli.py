@@ -137,6 +137,8 @@ class TestProdlineCommand:
         )
         assert payload["n_vehicles"] == 240
         assert payload["rejected"] == 120
+        # each lane's 30 scheduled vehicles wait 450 s in all; 4 * 450 / 240
+        assert payload["avg_waiting_s"] == 7.5
         assert payload["extra_space_pct"] == 100.0
 
     def test_extra_space_is_realized_requests_against_open_seconds(self, capsys, tmp_path):

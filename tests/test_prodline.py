@@ -270,6 +270,26 @@ class TestBuildDemand:
             # the doubled request bumps every later vehicle one slot back
             assert max(v.waiting_s for v in d.scheduled) > 0.0
 
+    @pytest.mark.parametrize("kind", [PatternKind.AVERAGE, PatternKind.WORST], ids=["average", "worst"])
+    def test_exact_figures_for_every_window_up_to_400_s(self, kind):
+        # m = a lane's open seconds. Average demand fills them with no wait;
+        # worst demand asks twice per open second, so vehicle j of the lane
+        # is served at open second j, ceil(j / 2) open seconds (2 s each)
+        # after its request, and the last m requests overflow
+        for run_seconds in range(1, 401):
+            cfg = IntersectionConfig(lanes=CFG.lanes, run_seconds=run_seconds)
+            demand = build_demand(cfg, kind, SeededRng(run_seconds))
+            for lane in cfg.lanes:
+                m = len(cfg.open_seconds(lane))
+                d = demand[lane.id]
+                total_wait = sum(v.waiting_s for v in d.scheduled)
+                if kind is PatternKind.AVERAGE:
+                    assert (len(d.scheduled), len(d.overflow), total_wait) == (m, 0, 0.0)
+                else:
+                    expected = 2 * sum((j + 1) // 2 for j in range(m))
+                    assert (len(d.scheduled), len(d.overflow), total_wait) == (m, m, expected)
+        assert 2 * sum((j + 1) // 2 for j in range(30)) == 450
+
     def test_random_is_deterministic_and_packs_forward(self):
         a = build_demand(CFG, PatternKind.RANDOM, SeededRng(7))
         b = build_demand(CFG, PatternKind.RANDOM, SeededRng(7))

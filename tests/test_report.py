@@ -2,6 +2,8 @@
 
 import csv
 import json
+import math
+import os
 
 import pytest
 
@@ -16,8 +18,10 @@ from intersched.report import (
     emit_csv,
     emit_json,
     emit_schedule_csv,
+    emit_text,
     report_to_dict,
     summarize,
+    table_text,
 )
 
 
@@ -58,6 +62,14 @@ class TestSummarize:
         assert report.avg_waiting_s == 0.0
         assert report.extra_space_pct == 0.0
 
+    def test_mean_adds_left_to_right(self):
+        # a compensated sum (math.fsum, and float sum() from Python 3.12 on)
+        # gives 0.1 here, so the mean would differ by interpreter
+        records = [_rec(i, waiting=0.1) for i in range(10)]
+        assert math.fsum(r.waiting_s for r in records) / 10 == 0.1
+        report = summarize(records, pattern=PatternKind.RANDOM, seed=0)
+        assert report.avg_waiting_s == 0.09999999999999999
+
 
 class TestRunReportInvariants:
     def test_prodline_counts_must_add_up(self):
@@ -83,6 +95,34 @@ class TestRunReportInvariants:
                 rejected=0, avg_waiting_s=-1.0, collisions_per_vehicle=0.0,
                 extra_space_pct=0.0, seed=0,
             )
+
+
+class TestEmitText:
+    def test_writes_utf8_with_line_ends_as_given(self, tmp_path):
+        path = tmp_path / "out.txt"
+        assert emit_text("a\r\nb\n\u00e9", path) is path
+        assert path.read_bytes() == b"a\r\nb\n\xc3\xa9"
+
+    def test_replaces_or_appends(self, tmp_path):
+        path = tmp_path / "out.txt"
+        emit_text("old text\n", path)
+        emit_text("new\n", path)
+        assert path.read_bytes() == b"new\n"
+        emit_text("more\n", path, append=True)
+        assert path.read_bytes() == b"new\nmore\n"
+
+    def test_short_write_names_the_path(self, tmp_path, monkeypatch):
+        write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:-1]))
+        path = tmp_path / "out.txt"
+        with pytest.raises(OSError, match="out.txt: short write"):
+            emit_text("abc", path)
+        monkeypatch.undo()
+        assert path.read_bytes() == b"ab"
+
+    def test_table_text_is_cell_text_with_crlf_line_ends(self):
+        text = table_text(("vehicle_id", "right_turn", "exit_s"), [_rec(1), _rec(2, admitted=False)])
+        assert text == "vehicle_id,right_turn,exit_s\r\n1,No,17.18\r\n2,,\r\n"
 
 
 class TestEmitters:

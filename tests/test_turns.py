@@ -257,6 +257,18 @@ class TestStorePersistence:
         assert b"\r" not in f.read_bytes() + l.read_bytes()
         assert f.read_bytes().decode("utf-8").count("\n") == l.read_bytes().decode("utf-8").count("\n") == 59
 
+    def test_failed_save_leaves_the_store_unbound(self, tmp_path):
+        store = bootstrap()
+        f, l = tmp_path / "features.txt", tmp_path / "labels"
+        l.mkdir()
+        with pytest.raises(OSError):
+            store.save(f, l)
+        assert (store.features_path, store.labels_path) == (None, None)
+        # so appends stay in memory instead of extending a half-written pair
+        store.append(KnnInstance(2, 11, 0, RIGHT))
+        assert len(store) == 10
+        assert f.read_bytes().count(b"\n") == 9
+
     def test_append_recreates_a_deleted_features_file(self, tmp_path):
         store = bootstrap()
         f, l = tmp_path / "features.txt", tmp_path / "labels.txt"
