@@ -54,10 +54,17 @@ class SeededRng:
         self._rng = random.Random(seed)
 
     def rand_int(self, low: int, high: int) -> int:
-        """Uniform integer in the closed range [low, high]."""
+        """Uniform integer in the closed range [low, high], drawn from the same
+        MT words as `random.Random.randint` draws it, without its call chain."""
         if not low <= high:
             raise ValueError(f"empty range: low={low} > high={high}")
-        return self._rng.randint(low, high)
+        width = high - low + 1
+        bits = width.bit_length()
+        getrandbits = self._rng.getrandbits
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        return low + r
 
     def random(self) -> float:
         return self._rng.random()

@@ -24,6 +24,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .core import FEATURE_RANGES, LaneId, SeededRng, SpeedMph, Vehicle, _require, mph_to_fps
@@ -60,7 +61,7 @@ class LaneConfig:
         stay = self.staying_time
         _require(0 < stay < math.inf, f"lane {self.id.value}: staying time must be positive and finite, got {stay!r} s")
 
-    @property
+    @cached_property
     def average_speed(self) -> SpeedMph:
         """Midpoint of the admission band; assigned to every admitted vehicle."""
         return (self.min_speed + self.max_speed) / 2.0
@@ -75,10 +76,14 @@ class LaneConfig:
         """
         return self.num_spots * self.spot_length_ft / round(mph_to_fps(self.average_speed), 5)
 
-    @property
+    @cached_property
     def phase_parity(self) -> int:
         """Second parity on which the lane's gate opens: 0 for A lanes, 1 for B."""
         return 0 if self.id.group == "A" else 1
+
+    @cached_property
+    def _admission(self) -> "Decision":
+        return Decision(admitted=True, assigned_speed=self.average_speed)
 
 
 @dataclass(frozen=True)
@@ -146,15 +151,19 @@ class ScheduleRecord:
     waiting_s: float = 0.0
 
 
+_SPEED_OUT_OF_BAND = Decision(admitted=False, reason=RejectReason.SPEED_OUT_OF_BAND)
+_GATE_CLOSED = Decision(admitted=False, reason=RejectReason.GATE_CLOSED)
+
+
 def admit(v: Vehicle, lane: LaneConfig) -> Decision:
     """Speed band first, then the gate at the vehicle's arrival second; an
-    admitted vehicle is assigned the band average. A pure decision: the
-    vehicle is not changed, so the same vehicle always gets the same answer."""
+    admitted vehicle is assigned the band average. A pure decision: the vehicle
+    is not changed, and the answer is one of a few shared, frozen `Decision`s."""
     if not (lane.min_speed <= v.speed_mph <= lane.max_speed):
-        return Decision(admitted=False, reason=RejectReason.SPEED_OUT_OF_BAND)
+        return _SPEED_OUT_OF_BAND
     if v.arrival_s % 2 != lane.phase_parity:
-        return Decision(admitted=False, reason=RejectReason.GATE_CLOSED)
-    return Decision(admitted=True, assigned_speed=lane.average_speed)
+        return _GATE_CLOSED
+    return lane._admission
 
 
 def exit_second(record: ScheduleRecord) -> int:
@@ -194,8 +203,10 @@ def build_demand(
     The vehicles are frozen records: running the schedule decides their fate
     without changing them.
     """
+    (day_lo, day_hi), (hour_lo, hour_hi), (event_lo, event_hi) = FEATURE_RANGES
     demand: dict[LaneId, LaneDemand] = {}
     for lane in cfg.lanes:
+        min_speed, max_speed = int(lane.min_speed), int(lane.max_speed)
         requests = generate_arrivals(kind, cfg.run_seconds, rng, parity=lane.phase_parity)
         ids = [_ID_BASE[lane.id] + i for i in range(len(requests))]
         rng.shuffle(ids)
@@ -211,8 +222,10 @@ def build_demand(
         for vid, req in zip(ids, requests):
             while slot is not None and slot < req:
                 slot = next(open_slots, None)
-            speed = float(rng.rand_int(int(lane.min_speed), int(lane.max_speed)))
-            features = sibling_features.get(slot) or tuple(rng.rand_int(lo, hi) for lo, hi in FEATURE_RANGES)
+            speed = float(rng.rand_int(min_speed, max_speed))
+            features = sibling_features.get(slot) or (
+                rng.rand_int(day_lo, day_hi), rng.rand_int(hour_lo, hour_hi), rng.rand_int(event_lo, event_hi)
+            )
             if slot is None:
                 overflow.append(Vehicle(vid, lane.id, speed, arrival_s=float(req), features=features))
             else:
@@ -259,49 +272,51 @@ def run_prodline(
     entering: primary lanes consult their group's classifier in `predictor`,
     with `rng` breaking label ties, and paired lanes reuse the sibling's
     same-second prediction when there is one. The report is labelled with
-    `pattern` and the seed of `rng`.
+    `pattern` and the seed of `rng`. When the pass ends, each of the
+    predictor's stores that is bound to files is saved to them.
     """
     _validate_schedule(cfg, arrivals)
 
-    # per lane in config order, computed once rather than per vehicle
+    # per lane in config order, computed once rather than per vehicle: the
+    # lane's turn labels by second, and its sibling's, which a paired lane reuses
+    labels_at: dict[LaneId, dict[int, TurnLabel]] = {lane.id: {} for lane in cfg.lanes}
     lane_facts = [
-        (lane, lane.id.value, lane.id.group, lane.id.is_primary, lane.id.sibling, lane.staying_time)
+        (lane, lane.id, lane.id.value, lane.id.group, lane.id.is_primary,
+         labels_at[lane.id], labels_at[lane.id.sibling], lane.staying_time)
         for lane in cfg.lanes
     ]
+    vehicles = [arrivals.get(lane.id, ()) for lane in cfg.lanes]
     visits = sorted(
-        (
-            (int(v.arrival_s), order, v)
-            for order, lane in enumerate(cfg.lanes)
-            for v in arrivals.get(lane.id, ())
-        ),
-        key=lambda visit: visit[:2],
+        (int(v.arrival_s), order, index)
+        for order, lane_vehicles in enumerate(vehicles)
+        for index, v in enumerate(lane_vehicles)
     )
 
     records: list[ScheduleRecord] = []
-    turn_by_lane_second: dict[tuple[LaneId, int], TurnLabel] = {}
-    for t, order, v in visits:
-        lane, name, group, primary, sibling, stay = lane_facts[order]
+    for t, order, index in visits:
+        lane, lane_id, name, group, primary, own_labels, sibling_labels, stay = lane_facts[order]
+        v = vehicles[order][index]
         decision = admit(v, lane)
         label: TurnLabel | None = None
         if decision.admitted:
-            label = None if primary else turn_by_lane_second.get((sibling, t))
+            label = None if primary else sibling_labels.get(t)
             if label is None:
                 label = predictor.predict_and_record(v.features, group, rng)
-            turn_by_lane_second[(lane.id, t)] = label
+            own_labels[t] = label
             logger.info(
                 "Vehicle %d has entered the intersection through lane [%s] with speed of %s",
                 v.id, name, decision.assigned_speed,
             )
         records.append(
             ScheduleRecord(
-                vehicle_id=v.id, lane=lane.id, arrive_s=float(t),
-                right_turn=None if label is None else label is TurnLabel.RIGHT_TURN,
-                assigned_speed=decision.assigned_speed,
-                exit_s=t + stay if decision.admitted else None,
-                admitted=decision.admitted, waiting_s=v.waiting_s,
+                v.id, lane_id, float(t), None if label is None else label is TurnLabel.RIGHT_TURN,
+                decision.assigned_speed, t + stay if decision.admitted else None, decision.admitted, v.waiting_s,
             )
         )
 
+    for store in predictor.stores.values():
+        if store.features_path is not None and store.labels_path is not None:
+            store.save(store.features_path, store.labels_path)
     return records, summarize(records, pattern=pattern, seed=rng.seed)
 
 

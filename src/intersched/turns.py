@@ -3,7 +3,9 @@
 Instances are (day, hour, event) triples labelled right-turn or straight.
 The classifier starts from a hand-labelled bootstrap set, predicts with
 k=3 under Euclidean distance, and appends each prediction back into its
-store so later queries see it (self-training).
+store so later queries see it (self-training). Appends stay in memory; a
+store's two files are written only by `InstanceStore.save`, which the slot
+scheduler calls once at the end of each run for a store bound to files.
 
 Features live on the 5x24x2 lattice that `core.FEATURE_RANGES` spans, so
 the store indexes its instances by feature triple and a query walks shells of
@@ -19,7 +21,8 @@ from __future__ import annotations
 
 import io
 import itertools
-from collections import Counter, defaultdict
+import os
+from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -99,10 +102,13 @@ _SHELLS = _shells()
 
 
 class InstanceStore:
-    """Ordered collection of labelled instances, optionally file-backed.
+    """Ordered collection of labelled instances, optionally bound to files.
 
     Order matters: ties in distance are broken by store order, and the
     on-disk layout (one instance per line) round-trips byte-for-byte.
+    `save` writes the files and binds the store to them, as `load_store` does;
+    appends stay in memory until the next `save`, which `run_prodline` makes
+    for each bound store of its predictor when the run ends.
 
     The index behind `knn_predict` maps each feature triple to the store
     indices of its instances, in store order. It is built when the store is
@@ -133,21 +139,27 @@ class InstanceStore:
         return len(self._instances)
 
     def append(self, instance: KnnInstance) -> None:
-        """Add an instance; a file-backed store also appends its line to each
-        file, features first, in the bytes `save` would write for it. Each
-        line is one `report.emit_text` write; a missing file is created."""
+        """Add an instance in memory; the files change only at the next `save`."""
         self._postings.setdefault(instance.features, []).append(len(self._instances))
         self._instances.append(instance)
-        if self.features_path is not None and self.labels_path is not None:
-            emit_text(_feature_line(instance), self.features_path, append=True)
-            emit_text(_label_line(instance), self.labels_path, append=True)
 
     def save(self, features_path: Path | str, labels_path: Path | str) -> None:
-        """Write the whole store, then bind it to the given paths."""
-        features_path = emit_text("".join(map(_feature_line, self._instances)), Path(features_path))
-        labels_path = emit_text("".join(map(_label_line, self._instances)), Path(labels_path))
-        self.features_path = features_path
-        self.labels_path = labels_path
+        """Write both files in full under temporary names beside them, rename
+        them over the targets, features first, then bind the store to the
+        targets. A failed write changes neither file nor the binding; only a
+        failure between the renames leaves new features beside old labels."""
+        targets = (Path(features_path), Path(labels_path))
+        temps = [path.with_name(f"{path.name}.{os.getpid()}.tmp") for path in targets]
+        try:
+            emit_text("".join(map(_feature_line, self._instances)), temps[0])
+            emit_text("".join(map(_label_line, self._instances)), temps[1])
+            for temp, path in zip(temps, targets):
+                os.replace(temp, path)
+        except BaseException:
+            for temp in temps:
+                temp.unlink(missing_ok=True)
+            raise
+        self.features_path, self.labels_path = targets
 
 
 def _feature_line(inst: KnnInstance) -> str:
@@ -234,11 +246,11 @@ def knn_predict(query: Features, store: InstanceStore, k: int = 3, rng: SeededRn
     if not len(store) >= k:
         raise ValueError(f"store has {len(store)} instances, need at least k={k}")
 
-    postings = store._postings
+    postings, instances = store._postings, store._instances
     day, hour, event = query
-    neighbours: list[KnnInstance] = []
+    labels: list[TurnLabel] = []
     for shell in _SHELLS:
-        need = k - len(neighbours)
+        need = k - len(labels)
         found: list[int] = []
         for dd, dh, de in shell:
             # a step off the lattice misses; a triple's postings are in store
@@ -248,21 +260,17 @@ def knn_predict(query: Features, store: InstanceStore, k: int = 3, rng: SeededRn
                 found += at[:need]
         if found:
             found.sort()
-            neighbours += [store._instances[index] for index in found[:need]]
-            if len(neighbours) == k:
+            labels += [instances[index].label for index in found[:need]]
+            if len(labels) == k:
                 break
 
-    votes = Counter(inst.label for inst in neighbours)
-    best = max(votes.values())
-    modal: list[TurnLabel] = []
-    for inst in neighbours:
-        if votes[inst.label] == best and inst.label not in modal:
-            modal.append(inst.label)
-    if len(modal) == 1:
-        return modal[0]
+    # two labels: one of them is modal, or both are, first-appearing first
+    right = labels.count(TurnLabel.RIGHT_TURN)
+    if 2 * right != k:
+        return TurnLabel.RIGHT_TURN if 2 * right > k else TurnLabel.STRAIGHT
     if rng is None:
-        raise ValueError(f"{len(modal)}-way label tie at k={k} needs an rng to break it")
-    return modal[rng.rand_int(0, len(modal) - 1)]
+        raise ValueError(f"2-way label tie at k={k} needs an rng to break it")
+    return sorted(TurnLabel, key=labels.index)[rng.rand_int(0, 1)]
 
 
 class TurnPredictor:

@@ -1,6 +1,8 @@
 """Command-line surface: parsing, config files, artifacts on disk."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -427,6 +429,26 @@ class TestFlowCommand:
         assert target.read_bytes() == stdout_json.encode()
 
 
+# Store files for the loader property: arbitrary bytes, or a pair of files
+# whose lines are mostly well formed, with out-of-range, malformed and stray
+# text lines mixed in and the label count sometimes off by one.
+_TRIPLE = "{0[0]} {0[1]} {0[2]}".format
+
+
+@st.composite
+def _store_files(draw):
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=80)), draw(st.binary(max_size=80))
+    n = draw(st.integers(0, 12))
+    good = st.tuples(st.integers(1, 5), st.integers(0, 23), st.integers(0, 1)).map(_TRIPLE)
+    odd = st.tuples(st.integers(-1, 7), st.integers(-1, 25), st.integers(-1, 2)).map(_TRIPLE) | st.text(max_size=8)
+    features = [draw(odd if draw(st.integers(0, 29)) == 0 else good) for _ in range(n)]
+    n_labels = max(0, n + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    labels = [draw(st.text(max_size=3) if draw(st.integers(0, 29)) == 0 else st.sampled_from("+-")) for _ in range(n_labels)]
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return tuple((end.join(lines) + end * draw(st.booleans())).encode("utf-8") for lines in (features, labels))
+
+
 class TestKnnCommands:
     def test_init_then_predict(self, tmp_path, capsys):
         store = tmp_path / "store"
@@ -463,6 +485,27 @@ class TestKnnCommands:
             "--store", str(store),
         )
         assert code == 1 and "error:" in err
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(_store_files())
+    @example((b"1 9 0\n2 \xff 1\n3 8 0\n", b"+\n-\n+\n"))
+    @example((b"1 9 0\r\n2 20 1\r3 8 0", b"+\n\n-\n+"))
+    @example((b"1 9 0\n1 9\n", b"+\n+\n"))
+    @example((b"", b""))
+    def test_every_store_predicts_or_fails_in_one_line(self, tmp_path_factory, files):
+        features, labels = files
+        store = tmp_path_factory.mktemp("store")
+        (store / "features.txt").write_bytes(features)
+        (store / "labels.txt").write_bytes(labels)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["knn", "predict", "--day", "1", "--hour", "9", "--event", "0", "--store", str(store)])
+        if code == 0:
+            assert (out.getvalue(), err.getvalue()) in (("+\n", ""), ("-\n", ""))
+        else:
+            assert code == 1 and out.getvalue() == ""
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+            assert err.getvalue().endswith("\n")
 
 
 class TestWithoutNumpy:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 
 import pytest
 
@@ -52,6 +53,15 @@ class TestSeededRng:
     def test_rand_int_rejects_inverted_range(self):
         with pytest.raises(ValueError):
             SeededRng(0).rand_int(2, 1)
+
+    def test_rand_int_draws_as_randint_does(self):
+        # the same values from the same MT words, so every stream is unchanged
+        ranges = [(0, 1), (1, 5), (0, 23), (60, 65), (0, 0)] + [(0, width - 1) for width in range(1, 1001, 37)]
+        for seed in range(200):
+            ours, theirs = SeededRng(seed), random.Random(seed)
+            for low, high in ranges:
+                assert ours.rand_int(low, high) == theirs.randint(low, high), (seed, low, high)
+            assert ours._rng.getstate() == theirs.getstate()
 
     def test_coin_is_roughly_fair(self):
         rng = SeededRng(123)

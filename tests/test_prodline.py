@@ -31,7 +31,7 @@ from intersched.prodline import (
     verify_no_collisions,
 )
 from intersched.report import summarize
-from intersched.turns import TurnLabel, TurnPredictor, seed_instances
+from intersched.turns import InstanceStore, TurnLabel, TurnPredictor, load_store, seed_instances
 
 CFG = IntersectionConfig.default()
 STAY = 17.179657557103365  # 60 spots at the assigned 62.5 mph
@@ -490,6 +490,35 @@ class TestRunProdline:
             runs.append((records, report, {group: store.instances for group, store in predictor.stores.items()}))
         assert runs[0] == runs[1]
         assert demand == pristine
+
+    def test_bound_stores_are_saved_once_when_the_run_ends(self, tmp_path, monkeypatch):
+        predictor = TurnPredictor()
+        for group, store in predictor.stores.items():
+            (tmp_path / group).mkdir()
+            store.save(tmp_path / group / "features.txt", tmp_path / group / "labels.txt")
+        saves = []
+        save = InstanceStore.save
+        monkeypatch.setattr(InstanceStore, "save", lambda store, *paths: saves.append(paths) or save(store, *paths))
+        demand = build_demand(CFG, PatternKind.RANDOM, SeededRng(5))
+        run_prodline(CFG, _schedule(demand), predictor, SeededRng(5), pattern=PatternKind.RANDOM)
+        assert len(saves) == 2
+        for group, store in predictor.stores.items():
+            assert len(store) > 9
+            fresh = tmp_path / f"fresh-{group}"
+            fresh.mkdir()
+            InstanceStore(store.instances).save(fresh / "features.txt", fresh / "labels.txt")
+            for name in ("features.txt", "labels.txt"):
+                assert (tmp_path / group / name).read_bytes() == (fresh / name).read_bytes()
+            assert load_store(tmp_path / group / "features.txt", tmp_path / group / "labels.txt").instances == store.instances
+
+    def test_unbound_stores_write_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        predictor = TurnPredictor()
+        demand = build_demand(CFG, PatternKind.RANDOM, SeededRng(5))
+        run_prodline(CFG, _schedule(demand), predictor, SeededRng(5), pattern=PatternKind.RANDOM)
+        assert len(predictor.stores["A"]) > 9
+        assert list(tmp_path.iterdir()) == []
+        assert all(store.features_path is None for store in predictor.stores.values())
 
     def test_entry_log_line(self, caplog):
         arrivals = {LaneId.A1: [_vehicle(vid=107, arrival=0.0)]}

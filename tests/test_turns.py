@@ -5,6 +5,7 @@ import math
 import pytest
 from test_acceptance import _brute_force_knn
 
+from intersched import report, turns
 from intersched.core import SeededRng
 from intersched.turns import (
     InstanceStore,
@@ -177,9 +178,9 @@ class TestLatticeIndex:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
     def test_matches_brute_force_while_self_training(self, k, tmp_path):
-        """Stores built by the constructor, by load_store and by append answer
-        3,000 self-training queries as the sort-based oracle does, taking the
-        same tie-break draws."""
+        """Stores built by the constructor, by load_store from a fresh save and
+        by append answer 3,000 self-training queries as the sort-based oracle
+        does, taking the same tie-break draws."""
         f, l = tmp_path / "features.txt", tmp_path / "labels.txt"
         InstanceStore(seed_instances()).save(f, l)
         appended = InstanceStore()
@@ -193,6 +194,8 @@ class TestLatticeIndex:
             if step % 500 == 0:
                 stores["constructor"] = InstanceStore(list(instances))
             if step % 1000 == 0:
+                # appends stay in memory: the reloaded store is what `save` wrote
+                stores["load_store"].save(f, l)
                 stores["load_store"] = load_store(f, l)
             query = (query_rng.rand_int(1, 5), query_rng.rand_int(0, 23), query_rng.rand_int(0, 1))
             oracle_rng = SeededRng(step)
@@ -211,6 +214,8 @@ class TestLatticeIndex:
             for store in stores.values():
                 store.append(KnnInstance(*query, label))
         assert (ties > 0) == (k % 2 == 0), ties
+        assert all(store.instances == tuple(instances) for store in stores.values())
+        stores["append"].save(f, l)
         assert load_store(f, l).instances == tuple(instances)
 
 
@@ -232,10 +237,15 @@ class TestStorePersistence:
         assert l1.read_bytes() == l2.read_bytes()
 
     def test_append_persists_incrementally(self, tmp_path):
+        # an append stays in memory; the next save persists it
         store = bootstrap()
         f, l = tmp_path / "features.txt", tmp_path / "labels.txt"
         store.save(f, l)
+        saved = f.read_bytes(), l.read_bytes()
         store.append(KnnInstance(2, 11, 0, RIGHT))
+        assert (f.read_bytes(), l.read_bytes()) == saved
+        assert len(load_store(f, l)) == 9
+        store.save(store.features_path, store.labels_path)
         reloaded = load_store(f, l)
         assert len(reloaded) == 10
         assert reloaded.instances[-1] == KnnInstance(2, 11, 0, RIGHT)
@@ -249,6 +259,9 @@ class TestStorePersistence:
             day, hour, event = rng.choice(LATTICE)
             store.append(KnnInstance(day, hour, event, rng.choice([RIGHT, STRAIGHT])))
         assert {inst.label for inst in store.instances[9:]} == {RIGHT, STRAIGHT}
+        assert f.read_bytes().count(b"\n") == l.read_bytes().count(b"\n") == 9
+        # saving the grown store over its own files gives a fresh store's bytes
+        store.save(f, l)
         fresh_f, fresh_l = tmp_path / "fresh_features.txt", tmp_path / "fresh_labels.txt"
         InstanceStore(list(store.instances)).save(fresh_f, fresh_l)
         assert f.read_bytes() == fresh_f.read_bytes()
@@ -264,19 +277,58 @@ class TestStorePersistence:
         with pytest.raises(OSError):
             store.save(f, l)
         assert (store.features_path, store.labels_path) == (None, None)
-        # so appends stay in memory instead of extending a half-written pair
         store.append(KnnInstance(2, 11, 0, RIGHT))
         assert len(store) == 10
+        # the labels rename failed after the features rename: the one window
+        # `save` leaves open
         assert f.read_bytes().count(b"\n") == 9
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["features.txt", "labels"]
+
+    def test_failed_second_write_keeps_the_old_pair(self, tmp_path, monkeypatch):
+        store = bootstrap()
+        f, l = tmp_path / "features.txt", tmp_path / "labels.txt"
+        store.save(f, l)
+        saved = f.read_bytes(), l.read_bytes()
+        store.append(KnnInstance(2, 11, 0, RIGHT))
+        writes = []
+
+        def emit_text(text, path):
+            writes.append(path)
+            if len(writes) == 2:
+                raise OSError(f"{path}: disk full")
+            return report.emit_text(text, path)
+
+        monkeypatch.setattr(turns, "emit_text", emit_text)
+        for target in ((f, l), (tmp_path / "f2.txt", tmp_path / "l2.txt")):
+            writes.clear()
+            with pytest.raises(OSError, match="disk full"):
+                store.save(*target)
+            assert (f.read_bytes(), l.read_bytes()) == saved
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["features.txt", "labels.txt"]
+            assert (store.features_path, store.labels_path) == (f, l)
+        monkeypatch.undo()
+        store.save(f, l)
+        assert len(load_store(f, l)) == 10
+
+    def test_save_leaves_no_temporary_file(self, tmp_path):
+        store = bootstrap()
+        store.save(tmp_path / "features.txt", tmp_path / "labels.txt")
+        store.append(KnnInstance(2, 11, 0, RIGHT))
+        store.save(store.features_path, store.labels_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["features.txt", "labels.txt"]
 
     def test_append_recreates_a_deleted_features_file(self, tmp_path):
+        # an append does not touch the files; the next save writes both whole
         store = bootstrap()
         f, l = tmp_path / "features.txt", tmp_path / "labels.txt"
         store.save(f, l)
         f.unlink()
         store.append(KnnInstance(2, 11, 0, RIGHT))
-        assert f.read_bytes() == b"2 11 0\n"
+        assert not f.exists() and len(l.read_bytes().splitlines()) == 9
+        store.save(store.features_path, store.labels_path)
+        assert f.read_bytes().endswith(b"\n2 11 0\n") and len(f.read_bytes().splitlines()) == 10
         assert l.read_bytes().endswith(b"+\n") and len(l.read_bytes().splitlines()) == 10
+        assert load_store(f, l).instances == store.instances
 
     def test_blank_lines_skipped(self, tmp_path):
         f, l = tmp_path / "features.txt", tmp_path / "labels.txt"
