@@ -84,7 +84,12 @@ class GridConfig:
     def lanes_per_direction(self) -> int:
         return self.intersection_band[1] - self.intersection_band[0] + 1
 
-    @property
+    @functools.cached_property
+    def band(self) -> tuple[int, ...]:
+        """The band's cells in ascending order: one lane per direction each."""
+        return tuple(range(self.intersection_band[0], self.intersection_band[1] + 1))
+
+    @functools.cached_property
     def capacity_per_side(self) -> int:
         return self.lanes_per_direction * self.feeder_len
 
@@ -160,12 +165,15 @@ class Placement:
     south_cols: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        capacity = 2 * self.cfg.capacity_per_side
-        _require(self.n >= 0 and self.n % 2 == 0, f"n must be even and >= 0, got {self.n}")
-        _require(self.n <= capacity, f"n={self.n} exceeds capacity {capacity}")
-        band_lo, band_hi = self.cfg.intersection_band
+        # one placement per grid run, so each check raises inline
+        n, capacity, band = self.n, 2 * self.cfg.capacity_per_side, self.cfg.band
+        if not (n >= 0 and n % 2 == 0):
+            raise ValueError(f"n must be even and >= 0, got {n}")
+        if not n <= capacity:
+            raise ValueError(f"n={n} exceeds capacity {capacity}")
         for name, lanes in (("east_rows", self.east_rows), ("south_cols", self.south_cols)):
-            _require(sorted(lanes) == list(range(band_lo, band_hi + 1)), f"{name} {lanes} is not an order of the band")
+            if tuple(sorted(lanes)) != band:
+                raise ValueError(f"{name} {lanes} is not an order of the band")
 
     @functools.cached_property
     def cars(self) -> list[PlacedVehicle]:
@@ -190,10 +198,9 @@ def place_vehicles(cfg: GridConfig, n: int, rng: SeededRng) -> Placement:
     Each direction's lane order is a shuffled copy of the band, east first,
     so lanes fill one at a time, in random order.
     """
-    band = list(range(cfg.intersection_band[0], cfg.intersection_band[1] + 1))
-    east_rows = band.copy()
+    east_rows = list(cfg.band)
     rng.shuffle(east_rows)
-    south_cols = band.copy()
+    south_cols = list(cfg.band)
     rng.shuffle(south_cols)
     return Placement(cfg, n, tuple(east_rows), tuple(south_cols))
 

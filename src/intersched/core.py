@@ -21,9 +21,9 @@ SECONDS_PER_HOUR = 3600.0
 
 
 def _require(condition: bool, message: str) -> None:
-    """For checks made once per config or call. A check made once per
-    vehicle, draw or query raises inline instead, so that its message is
-    formatted only when it fails."""
+    """For checks made once per config or command. A check made once per
+    run, vehicle, draw or query (a `SeededRng`, a grid `Placement`) raises
+    inline instead, so that its message is formatted only when it fails."""
     if not condition:
         raise ValueError(message)
 
@@ -49,7 +49,8 @@ class SeededRng:
     """
 
     def __init__(self, seed: int) -> None:
-        _require(isinstance(seed, int), f"seed must be an int, got {type(seed).__name__}")
+        if not isinstance(seed, int):
+            raise ValueError(f"seed must be an int, got {type(seed).__name__}")
         self.seed = seed
         self._rng = random.Random(seed)
 
@@ -70,7 +71,15 @@ class SeededRng:
         return self._rng.random()
 
     def shuffle(self, items: list) -> None:
-        self._rng.shuffle(items)
+        """Shuffle `items` in place, swapping the same pairs from the same MT
+        words as `random.Random.shuffle`, without its `_randbelow` call chain."""
+        getrandbits = self._rng.getrandbits
+        for i in range(len(items) - 1, 0, -1):
+            bits = (i + 1).bit_length()
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            items[i], items[j] = items[j], items[i]
 
     def choice(self, items: Sequence):
         _require(len(items) > 0, "cannot choose from an empty sequence")
@@ -78,7 +87,8 @@ class SeededRng:
 
     def spawn(self, index: int) -> "SeededRng":
         """Child stream for run `index`, a pure function of (seed, index)."""
-        _require(index >= 0, f"index must be >= 0, got {index}")
+        if not index >= 0:
+            raise ValueError(f"index must be >= 0, got {index}")
         # splitmix64-style mix keeps child seeds well separated
         z = (self.seed + (index + 1) * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF

@@ -91,11 +91,11 @@ def mean_in_order(values: Sequence[float]) -> float:
     return total / len(values)
 
 
-def emit_text(text: str, path: Path, *, append: bool = False) -> Path:
-    """Write `text` as UTF-8 to `path` in one write, replacing the file or, with
-    `append`, adding to its end; a missing file is created. Returns `path`."""
+def emit_text(text: str, path: Path) -> Path:
+    """Write `text` as UTF-8 to `path` in one write, replacing the file or
+    creating it. Returns `path`."""
     data = text.encode("utf-8")
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | (os.O_APPEND if append else os.O_TRUNC), 0o666)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
         if os.write(fd, data) != len(data):
             raise OSError(f"{path}: short write")

@@ -421,6 +421,9 @@ class TestOracleAgreement:
 
 
 BAND = tuple(range(40, 59))
+ROW_39 = (39,) + BAND[1:]
+COL_59 = BAND[:-1] + (59,)
+ROW_40_TWICE = (40,) + BAND[:-1]
 
 
 class TestPlacementValidation:
@@ -428,19 +431,21 @@ class TestPlacementValidation:
     its feeder x band rectangle and `conflict_matrix` needs no check."""
 
     @pytest.mark.parametrize(
-        "n, rows, cols, match",
+        "n, rows, cols, text",
         [
-            pytest.param(50, (39,) + BAND[1:], BAND, "east_rows", id="row-outside-band"),
-            pytest.param(50, BAND, BAND[:-1] + (59,), "south_cols", id="column-outside-band"),
-            pytest.param(50, (40,) + BAND[:-1], BAND, "east_rows", id="repeated-lane"),
-            pytest.param(50, BAND, BAND[:-1], "south_cols", id="too-few-lanes"),
-            pytest.param(51, BAND, BAND, "even", id="odd-n"),
-            pytest.param(1446, BAND, BAND, "exceeds capacity", id="oversized-n"),
+            pytest.param(50, ROW_39, BAND, f"east_rows {ROW_39} is not an order of the band", id="row-outside-band"),
+            pytest.param(50, BAND, COL_59, f"south_cols {COL_59} is not an order of the band", id="column-outside-band"),
+            pytest.param(50, ROW_40_TWICE, BAND, f"east_rows {ROW_40_TWICE} is not an order of the band", id="repeated-lane"),
+            pytest.param(50, BAND, BAND[:-1], f"south_cols {BAND[:-1]} is not an order of the band", id="too-few-lanes"),
+            pytest.param(51, BAND, BAND, "n must be even and >= 0, got 51", id="odd-n"),
+            pytest.param(1446, BAND, BAND, "n=1446 exceeds capacity 1444", id="oversized-n"),
         ],
     )
-    def test_rejects(self, n, rows, cols, match):
-        with pytest.raises(ValueError, match=match):
+    def test_rejects(self, n, rows, cols, text):
+        # the whole text: an order outside the band is named as given
+        with pytest.raises(ValueError) as err:
             Placement(CFG, n, rows, cols)
+        assert str(err.value) == text
 
     def test_grid_runs_build_no_cars(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -63,6 +63,18 @@ class TestSeededRng:
                 assert ours.rand_int(low, high) == theirs.randint(low, high), (seed, low, high)
             assert ours._rng.getstate() == theirs.getstate()
 
+    def test_shuffle_draws_as_shuffle_does(self):
+        # the same swaps from the same MT words, so every placement and ID pool is unchanged
+        lengths = (0, 1, 2, 3, 19, 20, 33, 64, 65, 900)
+        for seed in range(200):
+            ours, theirs = SeededRng(seed), random.Random(seed)
+            for length in lengths:
+                mine, reference = list(range(length)), list(range(length))
+                ours.shuffle(mine)
+                theirs.shuffle(reference)
+                assert mine == reference, (seed, length)
+            assert ours._rng.getstate() == theirs.getstate()
+
     def test_coin_is_roughly_fair(self):
         rng = SeededRng(123)
         n = 100_000
@@ -170,7 +182,7 @@ def _schedule(arrivals):
 
 
 class TestCheckMessages:
-    """The checks made once per vehicle, draw or query raise these exact texts."""
+    """The checks made once per run, vehicle, draw or query raise these exact texts."""
 
     @pytest.mark.parametrize(
         "call, message",
@@ -187,6 +199,9 @@ class TestCheckMessages:
             pytest.param(lambda: _car(arrival=-1.0), "arrival_s must be >= 0, got -1.0", id="vehicle-arrival"),
             pytest.param(lambda: _car(waiting=-0.5), "waiting_s must be >= 0, got -0.5", id="vehicle-waiting"),
             pytest.param(lambda: SeededRng(0).rand_int(3, 2), "empty range: low=3 > high=2", id="rand-int-range"),
+            pytest.param(lambda: SeededRng(1.5), "seed must be an int, got float", id="rng-seed-float"),
+            pytest.param(lambda: SeededRng("7"), "seed must be an int, got str", id="rng-seed-str"),
+            pytest.param(lambda: SeededRng(0).spawn(-1), "index must be >= 0, got -1", id="rng-spawn-index"),
             pytest.param(lambda: knn_predict((1, 9, 0), InstanceStore(seed_instances()), 0), "k must be >= 1, got 0",
                          id="knn-k"),
             pytest.param(lambda: knn_predict((1, 9, 0), InstanceStore(seed_instances()[:2])),

@@ -103,13 +103,11 @@ class TestEmitText:
         assert emit_text("a\r\nb\n\u00e9", path) is path
         assert path.read_bytes() == b"a\r\nb\n\xc3\xa9"
 
-    def test_replaces_or_appends(self, tmp_path):
+    def test_replaces_the_file(self, tmp_path):
         path = tmp_path / "out.txt"
         emit_text("old text\n", path)
         emit_text("new\n", path)
         assert path.read_bytes() == b"new\n"
-        emit_text("more\n", path, append=True)
-        assert path.read_bytes() == b"new\nmore\n"
 
     def test_short_write_names_the_path(self, tmp_path, monkeypatch):
         write = os.write
