@@ -114,7 +114,6 @@ class MeetingEvent:
 
     car_a: int
     car_b: int
-    point: tuple[int, int]
     conflict: bool
 
 
@@ -228,13 +227,11 @@ def meeting_events(cars: Iterable[PlacedVehicle], cfg: GridConfig) -> list[Meeti
             arrive_a = time_to_arrive(b.x, a.x, GRID_FPS, cfg.cell_ft)
             arrive_b = time_to_arrive(a.y, b.y, GRID_FPS, cfg.cell_ft)
             conflict = detect_conflict(Interval(arrive_a, arrive_a + occ), Interval(arrive_b, arrive_b + occ))
-            events.append(MeetingEvent(car_a=a.id, car_b=b.id, point=(b.x, a.y), conflict=conflict))
+            events.append(MeetingEvent(car_a=a.id, car_b=b.id, conflict=conflict))
     return events
 
 
-def propagate_waiting(
-    cars: Iterable[PlacedVehicle], blocked: int, penalty_s: float = WAIT_PENALTY_S
-) -> Iterable[PlacedVehicle]:
+def propagate_waiting(cars: Iterable[PlacedVehicle], blocked: int, penalty_s: float = WAIT_PENALTY_S) -> None:
     """Charge the blocked car and everything at-or-behind it in its lane.
 
     East lanes share a y and trail toward smaller x; south lanes share an x
@@ -252,7 +249,6 @@ def propagate_waiting(
             trailing = c.direction is Direction.SOUTH and c.x == head.x and c.y <= head.y
         if trailing:
             c.waiting_s += penalty_s
-    return cars
 
 
 def apply_conflict_waiting(
@@ -360,29 +356,26 @@ def conflict_matrix(placement: Placement) -> ConflictTotals:
 
 
 def _run_single(cfg: GridConfig, n: int, rng: SeededRng) -> tuple[int, float]:
-    """One seeded run: (raw error count, total accumulated waiting).
-
-    Every conflicting pair is scanned once per direction, so it is two
-    errors; the waiting is the penalty times the placement's charge.
-    """
+    """One seeded run: (conflicting pairs, total accumulated waiting), the
+    waiting being the penalty times the placement's charge."""
     totals = conflict_matrix(place_vehicles(cfg, n, rng))
-    return 2 * totals.conflicts, WAIT_PENALTY_S * float(totals.charge)
+    return totals.conflicts, WAIT_PENALTY_S * float(totals.charge)
 
 
 def run_baseline(cfg: GridConfig, n_vehicles: int, runs: int, rng: SeededRng) -> BaselineReport:
     """Average collision and waiting figures over `runs` independent runs.
 
-    Every scan counts each conflicting pair twice (once per direction), so
-    both reported figures divide the raw totals by 2 before the per-vehicle
-    normalization.
+    A run's collisions per vehicle are its conflicting pairs over n. Its
+    waiting per vehicle is half its total waiting over n: the model defines
+    the waiting figure with that `/ 2`.
     """
     _require(n_vehicles > 0 and n_vehicles % 2 == 0, f"n_vehicles must be even and > 0, got {n_vehicles}")
     _require(runs >= 1, f"runs must be >= 1, got {runs}")
     collision_sum = 0.0
     waiting_sum = 0.0
     for run_index in range(runs):
-        errors, total_waiting = _run_single(cfg, n_vehicles, rng.spawn(run_index))
-        collision_sum += (errors / 2) / n_vehicles
+        conflicts, total_waiting = _run_single(cfg, n_vehicles, rng.spawn(run_index))
+        collision_sum += conflicts / n_vehicles
         waiting_sum += (total_waiting / 2) / n_vehicles
     return BaselineReport(
         n_vehicles=n_vehicles,

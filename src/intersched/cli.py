@@ -234,7 +234,7 @@ def _cmd_knn(args: argparse.Namespace) -> int:
         print(labels_path)
         return 0
     store = load_store(features_path, labels_path)
-    label = knn_predict((args.day, args.hour, args.event), store, args.k, SeededRng(args.seed))
+    label = knn_predict((args.day, args.hour, args.event), store)
     print(label.value)
     return 0
 
@@ -336,8 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--hour", type=int, required=True)
     q.add_argument("--event", type=int, required=True)
     q.add_argument("--store", type=Path, required=True, help="store directory (features.txt + labels.txt)")
-    q.add_argument("--k", type=int, default=3)
-    q.add_argument("--seed", type=int, default=DEFAULT_SEED)
     q.set_defaults(func=_cmd_knn)
 
     p = sub.add_parser("reproduce", help="run every experiment into one output tree")

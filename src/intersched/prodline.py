@@ -270,10 +270,10 @@ def run_prodline(
     config order; the schedule holds at most one vehicle per lane-second, so
     that order is total. An admitted vehicle gets a turn prediction before
     entering: primary lanes consult their group's classifier in `predictor`,
-    with `rng` breaking label ties, and paired lanes reuse the sibling's
-    same-second prediction when there is one. The report is labelled with
-    `pattern` and the seed of `rng`. When the pass ends, each of the
-    predictor's stores that is bound to files is saved to them.
+    and paired lanes reuse the sibling's same-second prediction when there
+    is one. The pass draws nothing: `rng` only labels the report with its
+    seed, beside `pattern`. When the pass ends, each of the predictor's
+    stores that is bound to files is saved to them.
     """
     _validate_schedule(cfg, arrivals)
 
@@ -301,7 +301,7 @@ def run_prodline(
         if decision.admitted:
             label = None if primary else sibling_labels.get(t)
             if label is None:
-                label = predictor.predict_and_record(v.features, group, rng)
+                label = predictor.predict_and_record(v.features, group)
             own_labels[t] = label
             logger.info(
                 "Vehicle %d has entered the intersection through lane [%s] with speed of %s",

@@ -1,11 +1,13 @@
-"""Right-turn prediction: a small online k-nearest-neighbours classifier.
+"""Right-turn prediction: a small online 3-nearest-neighbours classifier.
 
 Instances are (day, hour, event) triples labelled right-turn or straight.
 The classifier starts from a hand-labelled bootstrap set, predicts with
 k=3 under Euclidean distance, and appends each prediction back into its
-store so later queries see it (self-training). Appends stay in memory; a
-store's two files are written only by `InstanceStore.save`, which the slot
-scheduler calls once at the end of each run for a store bound to files.
+store so later queries see it (self-training). Three votes over two labels
+always have a majority, so a prediction involves no randomness. Appends
+stay in memory; a store's two files are written only by
+`InstanceStore.save`, which the slot scheduler calls once at the end of
+each run for a store bound to files.
 
 Features live on the 5x24x2 lattice that `core.FEATURE_RANGES` spans, so
 the store indexes its instances by feature triple and a query walks shells of
@@ -28,20 +30,17 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .core import FEATURE_RANGES, Features, SeededRng, validate_features
+from .core import FEATURE_RANGES, Features, validate_features
 from .report import emit_text
+
+
+# neighbours per vote: three votes over two labels always have a majority
+K = 3
 
 
 class TurnLabel(Enum):
     RIGHT_TURN = "+"
     STRAIGHT = "-"
-
-    @classmethod
-    def parse(cls, symbol: str) -> "TurnLabel":
-        try:
-            return cls(symbol)
-        except ValueError:
-            raise ValueError(f"turn label must be '+' or '-', got {symbol!r}") from None
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ _SEED_ROWS = (
 
 
 def seed_instances() -> list[KnnInstance]:
-    return [KnnInstance(d, h, e, TurnLabel.parse(s)) for d, h, e, s in _SEED_ROWS]
+    return [KnnInstance(d, h, e, TurnLabel(s)) for d, h, e, s in _SEED_ROWS]
 
 
 class StoreFormatError(ValueError):
@@ -211,7 +210,7 @@ def load_store(features_path: Path | str, labels_path: Path | str) -> InstanceSt
         if not symbol:
             continue
         try:
-            labels.append(TurnLabel.parse(symbol))
+            labels.append(TurnLabel(symbol))
         except ValueError:
             raise StoreFormatError(labels_path, line_no, f"bad label {symbol!r}") from None
 
@@ -228,29 +227,23 @@ def load_store(features_path: Path | str, labels_path: Path | str) -> InstanceSt
     return InstanceStore(instances, features_path, labels_path)
 
 
-def knn_predict(query: Features, store: InstanceStore, k: int = 3, rng: SeededRng | None = None) -> TurnLabel:
-    """Majority label among the k nearest stored instances.
+def knn_predict(query: Features, store: InstanceStore) -> TurnLabel:
+    """Majority label among the K = 3 nearest stored instances.
 
     Neighbours are taken shell by shell in ascending Euclidean distance.
     Within a shell, instances come in store order, and the last shell needed
     contributes only its earliest-stored instances, so the neighbour list is
-    exactly k long: the first k of the store sorted stably by distance. A
-    tie between modal labels (impossible at k=3 with two classes, possible
-    at even k) is broken uniformly at random among the tied labels in order
-    of first appearance within the neighbours; that draw is the only
-    randomness.
+    exactly K long: the first K of the store sorted stably by distance.
     """
     validate_features(query)
-    if not k >= 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not len(store) >= k:
-        raise ValueError(f"store has {len(store)} instances, need at least k={k}")
+    if not len(store) >= K:
+        raise ValueError(f"store has {len(store)} instances, need at least k={K}")
 
     postings, instances = store._postings, store._instances
     day, hour, event = query
     labels: list[TurnLabel] = []
     for shell in _SHELLS:
-        need = k - len(labels)
+        need = K - len(labels)
         found: list[int] = []
         for dd, dh, de in shell:
             # a step off the lattice misses; a triple's postings are in store
@@ -261,31 +254,26 @@ def knn_predict(query: Features, store: InstanceStore, k: int = 3, rng: SeededRn
         if found:
             found.sort()
             labels += [instances[index].label for index in found[:need]]
-            if len(labels) == k:
+            if len(labels) == K:
                 break
 
-    # two labels: one of them is modal, or both are, first-appearing first
     right = labels.count(TurnLabel.RIGHT_TURN)
-    if 2 * right != k:
-        return TurnLabel.RIGHT_TURN if 2 * right > k else TurnLabel.STRAIGHT
-    if rng is None:
-        raise ValueError(f"2-way label tie at k={k} needs an rng to break it")
-    return sorted(TurnLabel, key=labels.index)[rng.rand_int(0, 1)]
+    return TurnLabel.RIGHT_TURN if 2 * right > K else TurnLabel.STRAIGHT
 
 
 class TurnPredictor:
     """Per-group online classifier used by the slot scheduler.
 
     Lane groups A and B each get their own store (bootstrapped identically);
-    every prediction takes `knn_predict`'s k and is appended back into the
+    every prediction is `knn_predict`'s 3-NN vote, appended back into the
     group's store.
     """
 
     def __init__(self) -> None:
         self.stores = {"A": InstanceStore(seed_instances()), "B": InstanceStore(seed_instances())}
 
-    def predict_and_record(self, features: Features, group: str, rng: SeededRng) -> TurnLabel:
+    def predict_and_record(self, features: Features, group: str) -> TurnLabel:
         store = self.stores[group]
-        label = knn_predict(features, store, rng=rng)
+        label = knn_predict(features, store)
         store.append(KnnInstance(*features, label))
         return label

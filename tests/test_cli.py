@@ -58,8 +58,13 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "argv",
-        [["baseline", "--vehicles", "50", "--compat-int-fps"], ["reproduce", "--all"]],
-        ids=["baseline-compat-int-fps", "reproduce-all"],
+        [
+            ["baseline", "--vehicles", "50", "--compat-int-fps"],
+            ["reproduce", "--all"],
+            ["knn", "predict", "--day", "1", "--hour", "9", "--event", "0", "--store", "s", "--k", "3"],
+            ["knn", "predict", "--day", "1", "--hour", "9", "--event", "0", "--store", "s", "--seed", "1"],
+        ],
+        ids=["baseline-compat-int-fps", "reproduce-all", "knn-predict-k", "knn-predict-seed"],
     )
     def test_removed_flags_exit_2(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -466,7 +471,7 @@ class TestKnnCommands:
 
         code, out, _ = run_cli(
             capsys, "knn", "predict", "--day", "1", "--hour", "4", "--event", "1",
-            "--store", str(store), "--k", "1",
+            "--store", str(store),
         )
         assert out.strip() == "-"
 

@@ -202,8 +202,6 @@ class TestCheckMessages:
             pytest.param(lambda: SeededRng(1.5), "seed must be an int, got float", id="rng-seed-float"),
             pytest.param(lambda: SeededRng("7"), "seed must be an int, got str", id="rng-seed-str"),
             pytest.param(lambda: SeededRng(0).spawn(-1), "index must be >= 0, got -1", id="rng-spawn-index"),
-            pytest.param(lambda: knn_predict((1, 9, 0), InstanceStore(seed_instances()), 0), "k must be >= 1, got 0",
-                         id="knn-k"),
             pytest.param(lambda: knn_predict((1, 9, 0), InstanceStore(seed_instances()[:2])),
                          "store has 2 instances, need at least k=3", id="knn-store-size"),
             pytest.param(lambda: _schedule({LaneId.A2: [_car(vid=7)]}),

@@ -2,9 +2,11 @@
 
 Each case runs one `intersched` command in-process and pins the sha256 of
 everything it writes (stdout, then every file under its output directory by
-relative name), together with its exit code and stderr. A change meant to
-keep the outputs byte-identical leaves every pin alone; a change that moves
-an output updates that pin in the same change and says why.
+relative name), together with its exit code and stderr. One more pin covers
+`knn predict`'s stdout for every (day, hour, event) query on a `knn init`
+store. A change meant to keep the outputs byte-identical leaves every pin
+alone; a change that moves an output updates that pin in the same change and
+says why.
 
 To print the digests of the tree under test, run this file as a script:
 `PYTHONPATH=src python tests/test_outputs.py`.
@@ -15,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import tempfile
 from pathlib import Path
 
@@ -63,6 +66,10 @@ PINS = {
 }
 
 
+# sha256 of `knn predict`'s stdout for the 240 lattice queries, day-major
+KNN_PREDICT_PIN = "e6ed1c7845ca3664a15517651fc8ab7deeda7f47b9c915e7671c5fe3d2db9d77"
+
+
 def run_and_digest(argv: list[str], writes_tree: bool, work: Path) -> tuple[int, str, str]:
     """Run one command; return its exit code, stderr and output digest."""
     out_dir = work / "out"
@@ -87,10 +94,29 @@ def run_and_digest(argv: list[str], writes_tree: bool, work: Path) -> tuple[int,
     return code, stderr.getvalue(), h.hexdigest()
 
 
+def knn_predict_digest(work: Path) -> tuple[list[int], str, str]:
+    """`knn init` a store, then `knn predict` every lattice query on it;
+    return the exit codes, stderr and the digest of the predictions' stdout."""
+    store = str(work / "store")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(["knn", "init", "--store", store])]
+        with contextlib.redirect_stdout(stdout):
+            for day, hour, event in itertools.product(range(1, 6), range(24), range(2)):
+                argv = ["knn", "predict", "--day", str(day), "--hour", str(hour), "--event", str(event)]
+                codes.append(main([*argv, "--store", store]))
+    return codes, stderr.getvalue(), hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", list(PINS))
 def test_output_matches_its_pin(name, tmp_path):
     argv, writes_tree, digest = PINS[name]
     assert run_and_digest(argv, writes_tree, tmp_path) == (0, "", digest)
+
+
+def test_knn_predict_matches_its_pin(tmp_path):
+    assert knn_predict_digest(tmp_path) == ([0] * 241, "", KNN_PREDICT_PIN)
 
 
 if __name__ == "__main__":
@@ -98,3 +124,6 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as work:
             code, err, digest = run_and_digest(argv, writes_tree, Path(work))
         print(f"{name}: exit {code}, stderr {err!r}, {digest}")
+    with tempfile.TemporaryDirectory() as work:
+        codes, err, digest = knn_predict_digest(Path(work))
+    print(f"knn-predict: exits {sorted(set(codes))}, stderr {err!r}, {digest}")

@@ -491,6 +491,18 @@ class TestRunProdline:
         assert runs[0] == runs[1]
         assert demand == pristine
 
+    @pytest.mark.parametrize("kind", list(PatternKind))
+    def test_a_run_draws_nothing(self, kind):
+        # every draw of a scheduler run is build_demand's: the pass leaves the
+        # rng it is given, which labels the report's seed, as it found it
+        for seed in (7, 42, 60317):
+            rng = SeededRng(seed)
+            demand = build_demand(CFG, kind, rng)
+            state = rng._rng.getstate()
+            _, report = run_prodline(CFG, _schedule(demand), TurnPredictor(), rng, pattern=kind)
+            assert rng._rng.getstate() == state
+            assert report.seed == seed
+
     def test_bound_stores_are_saved_once_when_the_run_ends(self, tmp_path, monkeypatch):
         predictor = TurnPredictor()
         for group, store in predictor.stores.items():
@@ -563,7 +575,7 @@ def _oracle_run_prodline(cfg, arrivals, predictor, rng):
 
             label = turn_by_lane_second.get((lane.id.sibling, t)) if not lane.id.is_primary else None
             if label is None:
-                label = predictor.predict_and_record(v.features, lane.id.group, rng)
+                label = predictor.predict_and_record(v.features, lane.id.group)
             turn_by_lane_second[(lane.id, t)] = label
 
             stay = lane.num_spots * lane.spot_length_ft / round(mph_to_fps(assigned), 5)

@@ -24,14 +24,6 @@ LATTICE = [(day, hour, event) for day in range(1, 6) for hour in range(24) for e
 
 
 class TestLabels:
-    def test_parse(self):
-        assert TurnLabel.parse("+") is RIGHT
-        assert TurnLabel.parse("-") is STRAIGHT
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            TurnLabel.parse("x")
-
     def test_instance_validates_features(self):
         with pytest.raises(ValueError):
             KnnInstance(0, 9, 0, RIGHT)
@@ -66,55 +58,47 @@ class TestBootstrap:
             store.instances.append(KnnInstance(1, 1, 0, RIGHT))
         with pytest.raises(AttributeError):
             store.instances = ()
-        store.append(KnnInstance(1, 1, 0, RIGHT))
-        assert store.instances[-1] == KnnInstance(1, 1, 0, RIGHT)
-        assert knn_predict((1, 1, 0), store, k=1) is RIGHT
+        # the bootstrap's 3-NN of (1, 1, 0) is straight; three appends there outvote it
+        assert knn_predict((1, 1, 0), store) is STRAIGHT
+        for _ in range(3):
+            store.append(KnnInstance(1, 1, 0, RIGHT))
+        assert store.instances[-3:] == (KnnInstance(1, 1, 0, RIGHT),) * 3
+        assert knn_predict((1, 1, 0), store) is RIGHT
 
 
 class TestKnnPredict:
     def test_morning_weekday_is_right_turn(self):
-        assert knn_predict((1, 9, 0), bootstrap(), k=3) is RIGHT
+        assert knn_predict((1, 9, 0), bootstrap()) is RIGHT
 
-    def test_exact_match_wins_at_k1(self):
-        assert knn_predict((1, 4, 1), bootstrap(), k=1) is STRAIGHT
+    def test_exact_match_is_a_vote(self):
+        # the straight exact match and the straight instance two hours off
+        # outvote the right-turn one hour off; without the exact match, a
+        # right-turn three hours off takes its vote and the answer flips
+        store = InstanceStore([
+            KnnInstance(2, 12, 0, RIGHT),
+            KnnInstance(2, 6, 0, RIGHT),
+            KnnInstance(2, 11, 0, STRAIGHT),
+            KnnInstance(2, 8, 0, RIGHT),
+            KnnInstance(2, 9, 0, STRAIGHT),
+        ])
+        assert knn_predict((2, 9, 0), store) is STRAIGHT
+        assert knn_predict((2, 9, 0), InstanceStore(store.instances[:-1])) is RIGHT
 
     def test_evening_event_is_straight(self):
-        assert knn_predict((5, 20, 1), bootstrap(), k=3) is STRAIGHT
+        assert knn_predict((5, 20, 1), bootstrap()) is STRAIGHT
 
     def test_stable_sort_prefers_store_order_on_equal_distance(self):
-        # two instances at identical distance from the query; k=1 must take
-        # the one stored first
+        # the two exact matches split the vote; of the two instances at equal
+        # distance one hour off, the third vote must take the one stored first
         store = InstanceStore([
+            KnnInstance(2, 9, 0, RIGHT),
+            KnnInstance(2, 9, 0, STRAIGHT),
             KnnInstance(2, 10, 0, STRAIGHT),
             KnnInstance(2, 8, 0, RIGHT),
         ])
-        assert knn_predict((2, 9, 0), store, k=1) is STRAIGHT
+        assert knn_predict((2, 9, 0), store) is STRAIGHT
         flipped = InstanceStore(list(reversed(store.instances)))
-        assert knn_predict((2, 9, 0), flipped, k=1) is RIGHT
-
-    def test_even_k_tie_requires_rng(self):
-        store = InstanceStore([
-            KnnInstance(2, 10, 0, STRAIGHT),
-            KnnInstance(2, 8, 0, RIGHT),
-        ])
-        with pytest.raises(ValueError):
-            knn_predict((2, 9, 0), store, k=2)
-
-    def test_tie_break_matches_seeded_draw(self):
-        store = InstanceStore([
-            KnnInstance(2, 10, 0, STRAIGHT),
-            KnnInstance(2, 8, 0, RIGHT),
-        ])
-        # modal labels in first-appearance order: [STRAIGHT, RIGHT]
-        for seed in range(20):
-            expect = [STRAIGHT, RIGHT][SeededRng(seed).rand_int(0, 1)]
-            assert knn_predict((2, 9, 0), store, k=2, rng=SeededRng(seed)) is expect
-
-    def test_no_tie_ignores_rng(self):
-        rng = SeededRng(0)
-        assert knn_predict((1, 9, 0), bootstrap(), k=3, rng=rng) is RIGHT
-        # the draw stream must be untouched
-        assert rng.rand_int(0, 10**9) == SeededRng(0).rand_int(0, 10**9)
+        assert knn_predict((2, 9, 0), flipped) is RIGHT
 
     def test_store_permutation_irrelevant_without_boundary_tie(self):
         store = bootstrap()
@@ -125,17 +109,11 @@ class TestKnnPredict:
             ranked = sorted(math.dist(query, i.features) for i in store.instances)
             if ranked[2] == ranked[3]:  # boundary tie, order may matter
                 continue
-            assert knn_predict(query, store, k=3) is knn_predict(
-                query, InstanceStore(shuffled), k=3
-            )
-
-    def test_k_larger_than_store(self):
-        with pytest.raises(ValueError):
-            knn_predict((1, 9, 0), bootstrap(), k=10)
+            assert knn_predict(query, store) is knn_predict(query, InstanceStore(shuffled))
 
     def test_empty_store(self):
         with pytest.raises(ValueError):
-            knn_predict((1, 9, 0), InstanceStore([]), k=1)
+            knn_predict((1, 9, 0), InstanceStore([]))
 
 
 def _squared_distance(a, b):
@@ -166,21 +144,21 @@ class TestLatticeIndex:
     def test_index_follows_appends(self):
         # what `append` adds, the next query sees, at a new triple and at one
         # already indexed
-        far, near = KnnInstance(2, 10, 0, STRAIGHT), KnnInstance(2, 9, 0, RIGHT)
-        store = InstanceStore([far])
-        assert knn_predict((2, 9, 0), store, k=1) is STRAIGHT
-        store.append(near)
-        assert knn_predict((2, 9, 0), store, k=1) is RIGHT
+        store = InstanceStore([KnnInstance(2, hour, 0, STRAIGHT) for hour in (10, 11, 12)])
+        assert knn_predict((2, 9, 0), store) is STRAIGHT
+        store.append(KnnInstance(2, 9, 0, RIGHT))
+        store.append(KnnInstance(2, 9, 0, RIGHT))
+        assert knn_predict((2, 9, 0), store) is RIGHT
+        assert knn_predict((2, 10, 0), store) is STRAIGHT
         store.append(KnnInstance(2, 10, 0, RIGHT))
         store.append(KnnInstance(2, 10, 0, RIGHT))
-        assert knn_predict((2, 10, 0), store, k=1) is STRAIGHT
-        assert knn_predict((2, 10, 0), store, k=3) is RIGHT
+        assert knn_predict((2, 10, 0), store) is RIGHT
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("k", [turns.K])
     def test_matches_brute_force_while_self_training(self, k, tmp_path):
         """Stores built by the constructor, by load_store from a fresh save and
         by append answer 3,000 self-training queries as the sort-based oracle
-        does, taking the same tie-break draws."""
+        does at k = 3, where the oracle never needs its tie-break draw."""
         f, l = tmp_path / "features.txt", tmp_path / "labels.txt"
         InstanceStore(seed_instances()).save(f, l)
         appended = InstanceStore()
@@ -200,20 +178,17 @@ class TestLatticeIndex:
             query = (query_rng.rand_int(1, 5), query_rng.rand_int(0, 23), query_rng.rand_int(0, 1))
             oracle_rng = SeededRng(step)
             expect = _brute_force_knn(query, instances, k, oracle_rng)
-            after = _next_draw(oracle_rng)
-            ties += after != _next_draw(SeededRng(step))
+            ties += _next_draw(oracle_rng) != _next_draw(SeededRng(step))
             for how, store in stores.items():
-                rng = SeededRng(step)
-                assert knn_predict(query, store, k, rng) is expect, (how, step)
-                assert _next_draw(rng) == after, (how, step)
-            # an occasional flipped label keeps the vote mixed, so even k meets ties
+                assert knn_predict(query, store) is expect, (how, step)
+            # an occasional flipped label keeps the vote mixed
             label = expect
             if flip_rng.rand_int(0, 7) == 0:
                 label = STRAIGHT if expect is RIGHT else RIGHT
             instances.append(KnnInstance(*query, label))
             for store in stores.values():
                 store.append(KnnInstance(*query, label))
-        assert (ties > 0) == (k % 2 == 0), ties
+        assert ties == 0
         assert all(store.instances == tuple(instances) for store in stores.values())
         stores["append"].save(f, l)
         assert load_store(f, l).instances == tuple(instances)
@@ -393,14 +368,13 @@ class TestStorePersistence:
 class TestTurnPredictor:
     def test_groups_have_independent_stores(self):
         p = TurnPredictor()
-        rng = SeededRng(0)
-        p.predict_and_record((1, 9, 0), "A", rng)
+        p.predict_and_record((1, 9, 0), "A")
         assert len(p.stores["A"]) == 10
         assert len(p.stores["B"]) == 9
 
     def test_prediction_is_appended_with_its_own_label(self):
         p = TurnPredictor()
-        label = p.predict_and_record((1, 9, 0), "A", SeededRng(0))
+        label = p.predict_and_record((1, 9, 0), "A")
         newest = p.stores["A"].instances[-1]
         assert newest.features == (1, 9, 0)
         assert newest.label is label
@@ -408,8 +382,7 @@ class TestTurnPredictor:
     def test_self_training_shifts_later_votes(self):
         # ten identical appends drown out the bootstrap for that point
         p = TurnPredictor()
-        rng = SeededRng(0)
         for _ in range(10):
-            p.predict_and_record((1, 9, 0), "A", rng)
-        assert knn_predict((1, 9, 0), p.stores["A"], k=3) is RIGHT
+            p.predict_and_record((1, 9, 0), "A")
+        assert knn_predict((1, 9, 0), p.stores["A"]) is RIGHT
         assert len(p.stores["A"]) == 19
